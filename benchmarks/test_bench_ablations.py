@@ -32,17 +32,16 @@ def test_ablation_pruning_horizon(run_experiment):
 
 
 def test_ablation_structure_adjustment(run_experiment):
-    """Paper section 4.1: a STINGER-style structure must adjust faster
-    than rebuilding CSR/CSC for small batches (the common case)."""
+    """Paper section 4.1: the merge-splice adjustment must give the
+    full-sort rebuild's snapshot bit-for-bit (the driver raises on any
+    difference) and beat it at every batch size, since it never sorts
+    the edge arrays (measured ~12x on FT)."""
     payload = run_experiment(experiment_ablation_structure)
     save_results("ablation_structure", payload)
 
-    detail = payload["detail"]
-    smallest = str(min(int(k) for k in detail))
-    assert detail[smallest]["speedup"] > 2.0, detail
-    # Both backends must stay faster than, or comparable at, every size.
-    for cell in detail.values():
-        assert cell["speedup"] > 0.8, detail
+    for cell in payload["detail"].values():
+        assert cell["identical"], payload["detail"]
+        assert cell["speedup"] > 2.0, payload["detail"]
 
 
 def test_ablation_dense_refinement_threshold(run_experiment):

@@ -975,56 +975,73 @@ def experiment_ablation_structure(
     num_batches: int = 20,
     seed: int = 31,
 ) -> Dict:
-    """Structure adjustment: CSR rebuild versus STINGER-style blocks.
+    """Structure adjustment: full-sort rebuild versus merge-splice.
 
     The paper (section 4.1) reports its two-pass CSR adjustment takes
-    ~850ms for 10K mutations on a 1B-edge graph and notes faster dynamic
-    structures (STINGER) could be incorporated.  This ablation measures
-    our two backends: full CSR rebuild per batch versus in-place
-    slack-block updates with amortised repacking.
+    ~850ms for 10K mutations on a 1B-edge graph.  This ablation times
+    both ways of producing the post-batch snapshot from the same
+    resolved batch: the :class:`CSRGraph` constructor's two lexsorts
+    over the whole post-batch edge list, and the merge-splice kernel
+    (:meth:`CSRGraph.spliced`) every store uses.  The two snapshots
+    must be bit-for-bit equal on all six canonical arrays.
     """
-    from repro.graph.dynamic import DynamicStreamingGraph
     from repro.graph.mutable import StreamingGraph
+    from repro.graph.storage import ARRAY_NAMES
 
     graph = paper_graph(graph_name, weighted=True)
     rows = []
     detail = {}
     for batch_size in batch_sizes:
-        batches = [
-            uniform_batch(graph, batch_size, seed=seed + i)
-            for i in range(num_batches)
-        ]
-        timings = {}
-        edge_sets = {}
-        for name, factory in (("csr_rebuild", StreamingGraph),
-                              ("dynamic_blocks", DynamicStreamingGraph)):
-            stream = factory(graph)
-            start = time.perf_counter()
-            for batch in batches:
-                stream.apply_batch(batch)
-            timings[name] = (time.perf_counter() - start) / num_batches
-            final = stream.graph
-            edge_sets[name] = (
-                final.edge_set() if hasattr(final, "edge_set") else None
+        stream = StreamingGraph(graph)
+        timings = {"full_sort_rebuild": 0.0, "splice": 0.0}
+        for index in range(num_batches):
+            result = stream.apply_batch(
+                uniform_batch(stream.graph, batch_size, seed=seed + index)
             )
-        if edge_sets["csr_rebuild"] != edge_sets["dynamic_blocks"]:
-            raise AssertionError("backends diverged structurally")
-        ratio = timings["csr_rebuild"] / max(timings["dynamic_blocks"],
-                                             1e-12)
+            old, num_vertices = result.old_graph, result.new_graph.num_vertices
+            slots = StreamingGraph._edge_positions(old, result.del_src,
+                                                   result.del_dst)
+            start = time.perf_counter()
+            spliced = old.spliced(num_vertices, result.add_src,
+                                  result.add_dst, result.add_weight,
+                                  result.del_src, result.del_dst, slots)
+            timings["splice"] += time.perf_counter() - start
+            start = time.perf_counter()
+            src, dst, weight = old.all_edges()
+            keep = np.ones(src.size, dtype=bool)
+            keep[slots] = False
+            rebuilt = CSRGraph(
+                num_vertices,
+                np.concatenate([src[keep], result.add_src]),
+                np.concatenate([dst[keep], result.add_dst]),
+                np.concatenate([weight[keep], result.add_weight]),
+            )
+            timings["full_sort_rebuild"] += time.perf_counter() - start
+            for name in ARRAY_NAMES:
+                if not np.array_equal(getattr(spliced, name),
+                                      getattr(rebuilt, name)):
+                    raise AssertionError(
+                        f"splice diverged from the full-sort rebuild "
+                        f"on {name} at batch {index}"
+                    )
+        timings = {name: seconds / num_batches
+                   for name, seconds in timings.items()}
+        ratio = timings["full_sort_rebuild"] / max(timings["splice"], 1e-12)
         rows.append([
             batch_size,
-            round(timings["csr_rebuild"] * 1000, 3),
-            round(timings["dynamic_blocks"] * 1000, 3),
+            round(timings["full_sort_rebuild"] * 1000, 3),
+            round(timings["splice"] * 1000, 3),
             round(ratio, 2),
         ])
-        detail[str(batch_size)] = {**timings, "speedup": ratio}
+        detail[str(batch_size)] = {**timings, "speedup": ratio,
+                                   "identical": True}
     return {
         "experiment": "ablation_structure",
         "title": (
             f"Ablation: structure adjustment ms/batch on {graph_name} "
-            "(CSR rebuild vs STINGER-style slack blocks)"
+            "(full-sort rebuild vs merge-splice, bit-for-bit equal)"
         ),
-        "headers": ["Batch", "CSR ms", "Dynamic ms", "Speedup"],
+        "headers": ["Batch", "Rebuild ms", "Splice ms", "Speedup"],
         "rows": rows,
         "detail": detail,
     }

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "adjusted_offsets", "row_keys", "splice_edges"]
 
 
 class CSRGraph:
@@ -31,16 +31,11 @@ class CSRGraph:
         Integer arrays of equal length giving the edge endpoints.
     weight:
         Optional float array of edge weights; defaults to all ones.
-    presorted:
-        Input already in canonical CSR order (sorted by ``(src, dst)``).
-        Validated by a cheap monotonicity check over the scalar edge
-        keys, then the O(E log E) CSR-side lexsort is skipped and the
-        CSC side needs only a single-key stable argsort.
 
     The constructor copies and re-sorts the input, so callers may mutate
     their arrays afterwards.  :meth:`from_canonical` skips sorting and
     copying entirely for arrays already in canonical form (store loads,
-    checkpoint restores).
+    checkpoint restores, :meth:`spliced` results).
     """
 
     def __init__(
@@ -49,7 +44,6 @@ class CSRGraph:
         src: np.ndarray,
         dst: np.ndarray,
         weight: Optional[np.ndarray] = None,
-        presorted: bool = False,
     ) -> None:
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -78,28 +72,14 @@ class CSRGraph:
         self.store = None
         self.snapshot_id = None
 
-        if presorted:
-            stride = np.int64(max(self._num_vertices, 1))
-            keys = src * stride + dst
-            if keys.size > 1 and np.any(np.diff(keys) < 0):
-                raise ValueError(
-                    "presorted=True but edges are not in (src, dst) order"
-                )
-            # CSR side is the input verbatim; CSC needs only a
-            # single-key stable argsort (src order breaks dst ties).
-            self._out_targets = dst.copy()
-            self._out_weights = weight.copy()
-            self._out_offsets = self._build_offsets(src)
-            order_in = np.argsort(dst, kind="stable")
-        else:
-            # CSR (out-edges), rows sorted by (src, dst).
-            order = np.lexsort((dst, src))
-            self._out_targets = dst[order].copy()
-            self._out_weights = weight[order].copy()
-            self._out_offsets = self._build_offsets(src[order])
+        # CSR (out-edges), rows sorted by (src, dst).
+        order = np.lexsort((dst, src))
+        self._out_targets = dst[order].copy()
+        self._out_weights = weight[order].copy()
+        self._out_offsets = self._build_offsets(src[order])
 
-            # CSC (in-edges), columns sorted by (dst, src).
-            order_in = np.lexsort((src, dst))
+        # CSC (in-edges), columns sorted by (dst, src).
+        order_in = np.lexsort((src, dst))
         self._in_sources = src[order_in].copy()
         self._in_weights = weight[order_in].copy()
         self._in_offsets = self._build_offsets(dst[order_in])
@@ -212,9 +192,8 @@ class CSRGraph:
         :meth:`repro.graph.mutable.StreamingGraph._edge_positions`).
         """
         if not hasattr(self, "_edge_keys"):
-            src, dst, _ = self.all_edges()
-            stride = np.int64(max(self._num_vertices, 1))
-            self._edge_keys = src * stride + dst
+            self._edge_keys = row_keys(self._out_offsets, self._out_targets,
+                                       max(self._num_vertices, 1))
         return self._edge_keys
 
     # ------------------------------------------------------------------
@@ -313,14 +292,10 @@ class CSRGraph:
             raise ValueError("cannot shrink a graph")
         if num_vertices == self._num_vertices:
             return self
-        if self.store is not None and self.store.kind == "mmap":
-            empty = np.empty(0, dtype=np.int64)
-            return self.store.adjust(
-                self, num_vertices, empty, empty,
-                np.empty(0, dtype=np.float64), empty, empty,
-            )
-        src, dst, weight = self.all_edges()
-        grown = CSRGraph(num_vertices, src, dst, weight)
+        empty = np.empty(0, dtype=np.int64)
+        grown = self.spliced(num_vertices, empty, empty,
+                             np.empty(0, dtype=np.float64), empty, empty,
+                             empty)
         cache = getattr(self, "_shard_cache", None)
         if cache:
             # Growth extends the last shard of every cached partition
@@ -330,6 +305,57 @@ class CSRGraph:
                 for shards, partition in cache.items()
             }
         return grown
+
+    def spliced(
+        self,
+        num_vertices: int,
+        add_src: np.ndarray,
+        add_dst: np.ndarray,
+        add_weight: np.ndarray,
+        del_src: np.ndarray,
+        del_dst: np.ndarray,
+        del_slots: np.ndarray,
+    ) -> "CSRGraph":
+        """The snapshot after one resolved batch (paper section 4.1).
+
+        Deletions must be present edges, ``del_slots`` their CSR slots;
+        additions must be absent once the deletions apply.  Each
+        direction is adjusted by :func:`adjusted_offsets` and
+        :func:`splice_edges` -- no sort over the edge arrays -- and the
+        result is bit-for-bit the constructor's build of the post-batch
+        edge list.  Store-backed snapshots adjust segment-wise through
+        their store (:meth:`repro.graph.storage.MmapStore.adjust`).
+        """
+        if self.store is not None and self.store.kind == "mmap":
+            return self.store.adjust(self, num_vertices, add_src, add_dst,
+                                     add_weight, del_src, del_dst, del_slots)
+        stride = max(num_vertices, 1)
+        out_keys = in_keys = None
+        in_slots = del_slots
+        if add_src.size:
+            out_keys = (self.edge_keys() if num_vertices == self._num_vertices
+                        else row_keys(self._out_offsets, self._out_targets,
+                                      stride))
+        if add_src.size or del_src.size:
+            in_keys = row_keys(self._in_offsets, self._in_sources, stride)
+            in_slots = np.searchsorted(in_keys, del_dst * stride + del_src)
+        out_targets, out_weights = splice_edges(
+            out_keys, self._out_targets, self._out_weights, del_slots,
+            add_src * stride + add_dst, add_dst, add_weight,
+        )
+        in_sources, in_weights = splice_edges(
+            in_keys, self._in_sources, self._in_weights, in_slots,
+            add_dst * stride + add_src, add_src, add_weight,
+        )
+        return CSRGraph.from_canonical(
+            num_vertices,
+            adjusted_offsets(self._out_offsets, num_vertices, add_src,
+                             del_src),
+            out_targets, out_weights,
+            adjusted_offsets(self._in_offsets, num_vertices, add_dst,
+                             del_dst),
+            in_sources, in_weights,
+        )
 
     @classmethod
     def from_canonical(
@@ -405,6 +431,74 @@ class CSRGraph:
 
     def __repr__(self) -> str:
         return f"CSRGraph(V={self.num_vertices}, E={self.num_edges})"
+
+
+def row_keys(offsets: np.ndarray, others: np.ndarray, stride: int,
+             first: int = 0) -> np.ndarray:
+    """Scalar keys ``row * stride + other`` of one direction's edges.
+
+    ``offsets`` delimits rows ``first, first + 1, ...`` of ``others``
+    (absolute offsets are fine: only their differences are used).  The
+    keys are sorted whenever the rows are, so one ``searchsorted``
+    locates any ``(row, other)`` pair.
+    """
+    rows = np.repeat(
+        np.arange(first, first + offsets.size - 1, dtype=np.int64),
+        np.diff(offsets),
+    )
+    return rows * np.int64(stride) + others
+
+
+def adjusted_offsets(offsets: np.ndarray, num_vertices: int,
+                     add_rows: np.ndarray, del_rows: np.ndarray) -> np.ndarray:
+    """Pass one of the adjustment: one direction's offsets after a
+    batch, from the old degrees and the per-row counts of the batch's
+    additions and deletions (padded for vertex growth)."""
+    degrees = np.zeros(num_vertices, dtype=np.int64)
+    degrees[:offsets.size - 1] = np.diff(offsets)
+    degrees += np.bincount(add_rows, minlength=num_vertices)
+    degrees -= np.bincount(del_rows, minlength=num_vertices)
+    new_offsets = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.cumsum(degrees, out=new_offsets[1:])
+    return new_offsets
+
+
+def splice_edges(
+    keys: Optional[np.ndarray],
+    others: np.ndarray,
+    weights: np.ndarray,
+    del_slots: np.ndarray,
+    add_keys: np.ndarray,
+    add_others: np.ndarray,
+    add_weights: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pass two of the adjustment: shift one direction's edge arrays
+    and splice the batch in.
+
+    ``keys`` are the sorted scalar keys of ``others`` (see
+    :func:`row_keys`; only needed when there are additions) and
+    ``add_keys`` the additions' keys in the same stride.  The edges at
+    ``del_slots`` are masked out and the additions inserted at
+    ``searchsorted(keys, add_keys, side="right")``, so an addition
+    lands after any same-key survivor -- the order the constructor's
+    stable lexsort gives an appended edge.  With nothing to change the
+    input arrays come back as they are.
+    """
+    if del_slots.size:
+        keep = np.ones(others.size, dtype=bool)
+        keep[del_slots] = False
+        others = others[keep]
+        weights = weights[keep]
+    if add_keys.size:
+        order = np.argsort(add_keys, kind="stable")
+        at = np.searchsorted(keys, add_keys[order], side="right")
+        if del_slots.size:
+            # Positions in the old arrays, shifted down by the
+            # deletions masked out before them.
+            at -= np.searchsorted(np.sort(del_slots), at)
+        others = np.insert(others, at, add_others[order])
+        weights = np.insert(weights, at, add_weights[order])
+    return others, weights
 
 
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:

@@ -128,27 +128,26 @@ class StreamingGraph:
     def apply_batch(self, batch: MutationBatch) -> MutationResult:
         """Apply one mutation batch and return the applied delta.
 
-        Follows the paper's two-pass adjustment: the first pass computes
-        per-vertex edge-count adjustments (offsets), the second shifts the
-        edge array and splices additions in.  Deletion of an absent edge or
-        re-addition of a present edge is skipped, not an error, matching
-        the stream semantics of real systems where update feeds can carry
-        stale operations.
+        Follows the paper's two-pass adjustment (:meth:`CSRGraph.spliced`):
+        the first pass computes per-vertex edge-count adjustments
+        (offsets), the second shifts the edge arrays and splices additions
+        in.  Deletion of an absent edge or re-addition of a present edge
+        is skipped, not an error, matching the stream semantics of real
+        systems where update feeds can carry stale operations.
         """
         old = self._graph
         num_vertices = max(old.num_vertices, batch.max_vertex() + 1)
 
-        del_src, del_dst, del_weight, skipped_del = self._resolve_deletions(
-            old, batch.del_src, batch.del_dst
+        del_src, del_dst, del_weight, del_slots, skipped_del = (
+            self._resolve_deletions(old, batch.del_src, batch.del_dst)
         )
         add_src, add_dst, add_weight, skipped_add = self._resolve_additions(
-            old, batch.add_src, batch.add_dst, batch.add_weight,
-            del_src, del_dst,
+            old, num_vertices, batch.add_src, batch.add_dst,
+            batch.add_weight, del_src, del_dst,
         )
 
-        new_graph = self._rebuild(
-            old, num_vertices, add_src, add_dst, add_weight, del_src, del_dst
-        )
+        new_graph = old.spliced(num_vertices, add_src, add_dst, add_weight,
+                                del_src, del_dst, del_slots)
 
         retired = self._previous
         self._previous = old
@@ -226,52 +225,23 @@ class StreamingGraph:
         positions = self._edge_positions(old, del_src, del_dst)
         present = positions >= 0
         skipped = int((~present).sum())
-        del_weight = old.out_weights[positions[present]]
-        return del_src[present], del_dst[present], del_weight, skipped
+        slots = positions[present]
+        return (del_src[present], del_dst[present], old.out_weights[slots],
+                slots, skipped)
 
-    def _resolve_additions(self, old, add_src, add_dst, add_weight,
-                           del_src, del_dst):
+    def _resolve_additions(self, old, num_vertices, add_src, add_dst,
+                           add_weight, del_src, del_dst):
         positions = self._edge_positions(old, add_src, add_dst)
         absent = positions < 0
         # An edge being deleted in the same batch may be re-added with a new
         # weight; MutationBatch already cancelled exact add/delete pairs, so
         # here "present and also deleted" means replace (delete then add).
         if del_src.size:
-            deleted = set(zip(del_src.tolist(), del_dst.tolist()))
-            replaced = np.array(
-                [
-                    (s, d) in deleted
-                    for s, d in zip(add_src.tolist(), add_dst.tolist())
-                ],
-                dtype=bool,
-            )
-            absent = absent | replaced
+            stride = max(num_vertices, 1)
+            absent |= np.isin(add_src * stride + add_dst,
+                              del_src * stride + del_dst)
         skipped = int((~absent).sum())
         return add_src[absent], add_dst[absent], add_weight[absent], skipped
-
-    @staticmethod
-    def _rebuild(old, num_vertices, add_src, add_dst, add_weight,
-                 del_src, del_dst):
-        store = getattr(old, "store", None)
-        if store is not None and store.kind == "mmap":
-            # Segment-wise out-of-core adjustment: only dirty vertex
-            # ranges are rebuilt in heap, clean ranges are block
-            # copied file-to-file (see MmapStore.adjust).
-            return store.adjust(
-                old, num_vertices, add_src, add_dst, add_weight,
-                del_src, del_dst,
-            )
-        src, dst, weight = old.all_edges()
-        if del_src.size:
-            positions = StreamingGraph._edge_positions(old, del_src, del_dst)
-            keep = np.ones(src.size, dtype=bool)
-            keep[positions] = False
-            src, dst, weight = src[keep], dst[keep], weight[keep]
-        if add_src.size:
-            src = np.concatenate([src, add_src])
-            dst = np.concatenate([dst, add_dst])
-            weight = np.concatenate([weight, add_weight])
-        return CSRGraph(num_vertices, src, dst, weight)
 
     def __repr__(self) -> str:
         return (

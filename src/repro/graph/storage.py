@@ -23,7 +23,7 @@ Each ``.seg`` file is a 64-byte header (magic+version, dtype code,
 element count, CRC32 of the payload) followed by the raw little-endian
 array payload.  Segment files are immutable once published: a new
 snapshot generation writes fresh files (clean vertex ranges are block
-copied file-to-file in bounded chunks; dirty ranges are rebuilt in
+copied file-to-file in bounded chunks; dirty ranges are spliced in
 heap), renames them into place, and then atomically replaces the
 manifest.  A crash between those steps leaves at worst a torn temp
 file and an orphaned segment -- the previous manifest always stays
@@ -54,7 +54,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import (
+    CSRGraph,
+    adjusted_offsets,
+    row_keys,
+    splice_edges,
+)
 
 __all__ = [
     "ARRAY_NAMES",
@@ -717,16 +722,17 @@ class MmapStore(SnapshotStore):
         add_weight: np.ndarray,
         del_src: np.ndarray,
         del_dst: np.ndarray,
+        del_slots: np.ndarray,
     ) -> CSRGraph:
         """Build the post-batch snapshot without materializing the
-        full edge set in heap.
+        full edge set in heap (see :meth:`CSRGraph.spliced` for the
+        batch contract; ``del_slots`` are the deletions' CSR slots).
 
         Vertex ranges untouched by the batch are block-copied from the
         old generation's files; dirty ranges (bounded by an edge
-        budget) are merged in heap.  The result is bit-for-bit
-        identical to the heap rebuild path: stable ordering puts
-        surviving old edges before same-key additions, exactly like
-        the stable lexsort in the :class:`CSRGraph` constructor.
+        budget) go through the same merge-splice kernel as heap
+        snapshots (:func:`~repro.graph.csr.splice_edges`), so the
+        result is bit-for-bit the heap path's.
         """
         writer = self.writer()
         try:
@@ -735,7 +741,7 @@ class MmapStore(SnapshotStore):
                 offsets=old.out_offsets, others=old.out_targets,
                 weights=old.out_weights,
                 add_key=add_src, add_other=add_dst, add_weight=add_weight,
-                del_key=del_src, del_other=del_dst,
+                del_key=del_src, del_other=del_dst, del_slots=del_slots,
                 names=("out_offsets", "out_targets", "out_weights"),
             )
             _evict_pages(old.out_targets, old.out_weights)
@@ -744,7 +750,7 @@ class MmapStore(SnapshotStore):
                 offsets=old.in_offsets, others=old.in_sources,
                 weights=old.in_weights,
                 add_key=add_dst, add_other=add_src, add_weight=add_weight,
-                del_key=del_dst, del_other=del_src,
+                del_key=del_dst, del_other=del_src, del_slots=None,
                 names=("in_offsets", "in_sources", "in_weights"),
             )
             _evict_pages(old.in_sources, old.in_weights)
@@ -759,57 +765,55 @@ class MmapStore(SnapshotStore):
         add_key: np.ndarray, add_other: np.ndarray,
         add_weight: np.ndarray,
         del_key: np.ndarray, del_other: np.ndarray,
+        del_slots: Optional[np.ndarray],
         names: Tuple[str, str, str],
     ) -> None:
+        """One direction, segment by segment.  ``del_slots`` are the
+        deletions' slots in this direction's arrays when the caller
+        already has them; otherwise each dirty segment finds them by
+        ``searchsorted`` over its own keys."""
         offsets_name, others_name, weights_name = names
         old_v = old.num_vertices
-        old_degrees = np.zeros(num_vertices, dtype=np.int64)
-        old_degrees[:old_v] = np.diff(offsets)
-
-        add_counts = np.bincount(add_key, minlength=num_vertices) \
-            if add_key.size else np.zeros(num_vertices, dtype=np.int64)
-        del_counts = np.bincount(del_key, minlength=num_vertices) \
-            if del_key.size else np.zeros(num_vertices, dtype=np.int64)
-        new_degrees = old_degrees + add_counts - del_counts
-        new_offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(new_degrees, out=new_offsets[1:])
-        writer.append(offsets_name, new_offsets)
-
-        # Deletions resolved to slots in this direction's edge arrays
-        # (row-wise binary search, no O(E) key materialization).
-        del_slots = _row_positions(offsets, others, del_key, del_other)
-        del_slots.sort()
-
-        # Additions in this direction's key order, stable so
-        # duplicate pairs keep batch order (bit-for-bit contract).
-        if add_key.size:
-            order = np.lexsort((add_other, add_key))
-            add_key = add_key[order]
-            add_other = add_other[order]
-            add_weight = add_weight[order]
+        stride = max(num_vertices, 1)
+        writer.append(offsets_name, adjusted_offsets(
+            offsets, num_vertices, add_key, del_key,
+        ))
+        add_keys = add_key * stride + add_other
+        del_keys = del_key * stride + del_other
 
         dirty = np.zeros(num_vertices, dtype=bool)
-        if add_key.size:
-            dirty[add_key] = True
-        if del_key.size:
-            dirty[del_key] = True
+        dirty[add_key] = True
+        dirty[del_key] = True
 
         start = 0
         while start < num_vertices:
             stop = self._segment_stop(offsets, old_v, num_vertices, start)
+            first = min(start, old_v)
+            read_stop = min(stop, old_v)
+            lo = int(offsets[first])
+            hi = int(offsets[read_stop])
             if not dirty[start:stop].any():
-                lo = int(offsets[min(start, old_v)])
-                hi = int(offsets[min(stop, old_v)])
                 writer.append_raw(others_name, others, lo, hi)
                 writer.append_raw(weights_name, weights, lo, hi)
+                start = stop
+                continue
+            seg_other = np.asarray(others[lo:hi])
+            seg_weight = np.asarray(weights[lo:hi])
+            keys = row_keys(offsets[first:read_stop + 1], seg_other,
+                            stride, first)
+            if del_slots is not None:
+                seg_del = del_slots[(del_slots >= lo) & (del_slots < hi)] - lo
             else:
-                seg_other, seg_weight = self._merge_segment(
-                    start, stop, old_v, offsets, others, weights,
-                    old_degrees, del_slots,
-                    add_key, add_other, add_weight,
+                seg_del = np.searchsorted(
+                    keys, del_keys[(del_key >= start) & (del_key < stop)]
                 )
-                writer.append(others_name, seg_other)
-                writer.append(weights_name, seg_weight)
+            seg_add = (add_key >= start) & (add_key < stop)
+            seg_other, seg_weight = splice_edges(
+                keys, seg_other, seg_weight, seg_del,
+                add_keys[seg_add], add_other[seg_add], add_weight[seg_add],
+            )
+            writer.append(others_name, seg_other)
+            writer.append(weights_name, seg_weight)
             start = stop
 
     @staticmethod
@@ -825,66 +829,6 @@ class MmapStore(SnapshotStore):
         if stop >= old_v:
             return num_vertices
         return stop
-
-    @staticmethod
-    def _merge_segment(
-        start: int, stop: int, old_v: int,
-        offsets: np.ndarray, others: np.ndarray, weights: np.ndarray,
-        old_degrees: np.ndarray, del_slots: np.ndarray,
-        add_key: np.ndarray, add_other: np.ndarray,
-        add_weight: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        read_stop = min(stop, old_v)
-        lo = int(offsets[min(start, old_v)])
-        hi = int(offsets[read_stop])
-        seg_other = np.asarray(others[lo:hi])
-        seg_weight = np.asarray(weights[lo:hi])
-        seg_key = np.repeat(
-            np.arange(start, read_stop, dtype=np.int64),
-            old_degrees[start:read_stop],
-        )
-        if del_slots.size:
-            first = int(np.searchsorted(del_slots, lo))
-            last = int(np.searchsorted(del_slots, hi))
-            if last > first:
-                keep = np.ones(hi - lo, dtype=bool)
-                keep[del_slots[first:last] - lo] = False
-                seg_key = seg_key[keep]
-                seg_other = seg_other[keep]
-                seg_weight = seg_weight[keep]
-        if add_key.size:
-            first = int(np.searchsorted(add_key, start))
-            last = int(np.searchsorted(add_key, stop))
-        else:
-            first = last = 0
-        if last > first:
-            seg_key = np.concatenate([seg_key, add_key[first:last]])
-            seg_other = np.concatenate([seg_other, add_other[first:last]])
-            seg_weight = np.concatenate([seg_weight,
-                                         add_weight[first:last]])
-            order = np.lexsort((seg_other, seg_key))
-            seg_other = seg_other[order]
-            seg_weight = seg_weight[order]
-        return seg_other, seg_weight
-
-
-def _row_positions(offsets: np.ndarray, others: np.ndarray,
-                   keys: np.ndarray, other_values: np.ndarray) -> np.ndarray:
-    """Edge-array slot of each (key, other) pair via per-row binary
-    search; pairs must be present (callers resolve absence first)."""
-    positions = np.empty(keys.size, dtype=np.int64)
-    for index in range(keys.size):
-        lo = int(offsets[keys[index]])
-        hi = int(offsets[keys[index] + 1])
-        row = others[lo:hi]
-        slot = int(np.searchsorted(row, other_values[index]))
-        if slot >= row.size or row[slot] != other_values[index]:
-            raise StoreError(
-                f"edge ({keys[index]}, {other_values[index]}) vanished "
-                "between resolution and adjustment"
-            )
-        positions[index] = lo + slot
-    return positions
 
 
 # ----------------------------------------------------------------------

@@ -428,21 +428,12 @@ class ShardedBackend(ExecutionBackend):
 
     def gather_all(self, graph, metrics, count=True):
         partition = self.partition(graph)
-        if hasattr(graph, "out_offsets"):
-            # CSR rows are in vertex order, so each shard's edge block
-            # is the contiguous slice between its boundary offsets;
-            # concatenation in shard order *is* the serial edge order.
-            offsets = graph.out_offsets
-            edge_cuts = offsets[partition.boundaries]
-            src, dst, weight = graph.all_edges()
-            counts = np.diff(edge_cuts)
-            self._record_loads(metrics, counts)
-        else:
-            # Dynamic (slack-block) structures compact edges in their
-            # own order; keep it and attribute loads by source owner.
-            src, dst, weight = graph.all_edges()
-            self._record_loads(metrics,
-                               self._loads_by_owner(partition, src))
+        # CSR rows are in vertex order, so each shard's edge block is
+        # the contiguous slice between its boundary offsets;
+        # concatenation in shard order *is* the serial edge order.
+        edge_cuts = graph.out_offsets[partition.boundaries]
+        src, dst, weight = graph.all_edges()
+        self._record_loads(metrics, np.diff(edge_cuts))
         if metrics is not None and count:
             metrics.count_edges(src.size)
         return src, dst, weight

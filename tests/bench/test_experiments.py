@@ -71,7 +71,9 @@ class TestDrivers:
         payload = exp.experiment_ablation_structure(
             graph_name="WK", batch_sizes=(10,), num_batches=3,
         )
-        assert payload["detail"]["10"]["speedup"] > 0
+        cell = payload["detail"]["10"]
+        assert cell["identical"]
+        assert cell["speedup"] > 0
 
     def test_render_table(self):
         payload = exp.experiment_figure4(num_iterations=3)

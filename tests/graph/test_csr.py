@@ -213,41 +213,8 @@ class TestRangesHelper:
 
 
 class TestFastPaths:
-    """The presorted / from_canonical construct-from-store fast paths
-    must match the sorting constructor bit-for-bit -- and provably skip
-    the O(E log E) re-sort (satellite regression pin)."""
-
-    def _canonical_edges(self):
-        graph = simple_graph()
-        src, dst, weight = graph.all_edges()  # already (src, dst) order
-        return graph, src, dst, weight
-
-    def test_presorted_matches_sorting_constructor(self):
-        graph, src, dst, weight = self._canonical_edges()
-        fast = CSRGraph(graph.num_vertices, src, dst, weight,
-                        presorted=True)
-        for name in ("out_offsets", "out_targets", "out_weights",
-                     "in_offsets", "in_sources", "in_weights"):
-            assert np.array_equal(getattr(graph, name),
-                                  getattr(fast, name)), name
-
-    def test_presorted_rejects_unsorted_input(self):
-        with pytest.raises(ValueError, match="not in .src, dst. order"):
-            CSRGraph(3, np.array([1, 0]), np.array([0, 1]),
-                     presorted=True)
-
-    def test_presorted_skips_edge_lexsort(self, monkeypatch):
-        """Regression pin: the presorted path must never call
-        ``np.lexsort`` (the O(E log E) CSR-side re-sort)."""
-        graph, src, dst, weight = self._canonical_edges()
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("presorted path re-sorted the edges")
-
-        monkeypatch.setattr(np, "lexsort", forbidden)
-        fast = CSRGraph(graph.num_vertices, src, dst, weight,
-                        presorted=True)
-        assert fast.num_edges == graph.num_edges
+    """The from_canonical construct-from-store fast path must adopt
+    canonical arrays without the O(E log E) re-sort."""
 
     def test_from_canonical_skips_all_sorts_and_copies(self, monkeypatch):
         """Regression pin: the store-load path does zero sorting and

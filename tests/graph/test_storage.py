@@ -200,36 +200,6 @@ class TestSelection:
         assert isinstance(store_from_env(), HeapStore)
 
 
-class TestAdjust:
-    """Segment-wise structure adjustment must match the heap rebuild
-    bit-for-bit, including vertex-growing batches."""
-
-    def _batches(self, graph):
-        src, dst, _ = graph.all_edges()
-        n = graph.num_vertices
-        yield MutationBatch.from_edges(
-            additions=[(0, n - 1), (2, 4)],
-            deletions=[(int(src[0]), int(dst[0]))],
-            add_weights=[0.5, 1.5],
-        )
-        yield MutationBatch.from_edges(
-            additions=[(n + 2, 1), (3, n)],  # grows the vertex set
-            deletions=[(int(src[-1]), int(dst[-1]))],
-            add_weights=[2.0, 0.25],
-            grow_to=n + 3,
-        )
-
-    def test_mmap_adjust_matches_heap_rebuild(self, tmp_path):
-        base = small_graph(seed=11)
-        heap = StreamingGraph(base)
-        mmapped = StreamingGraph(MmapStore(str(tmp_path)).publish(base))
-        for batch in self._batches(base):
-            heap.apply_batch(batch)
-            mmapped.apply_batch(batch)
-            assert_graphs_equal(heap.graph, mmapped.graph)
-        assert isinstance(mmapped.graph.out_targets, np.memmap)
-
-
 class TestXLTier:
     def test_rmat_streamed_equals_materialized_build(self, tmp_path):
         heap = rmat_xl(9, 6, seed=5, store=HeapStore())
