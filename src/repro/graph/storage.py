@@ -19,10 +19,19 @@ On-disk layout of an :class:`MmapStore` root::
     <label>-g000000-out_targets.seg    snapshot generation
     ...
 
-Each ``.seg`` file is a 64-byte header (magic+version, dtype code,
-element count, CRC32 of the payload) followed by the raw little-endian
-array payload.  Segment files are immutable once published: a new
-snapshot generation writes fresh files (clean vertex ranges are block
+Every durable binary file this package writes is a sequence of
+**frames**: a 64-byte header (``RSSEG001`` magic, dtype code
+``<i8``/``<f8``/``|u1``, element count, CRC32 of the payload, zero
+padding) followed by the raw little-endian payload.  A ``.seg`` file is
+a one-frame sequence; an engine checkpoint
+(:mod:`repro.runtime.checkpoint`) is a JSON index frame followed by one
+frame per array.  :func:`read_frames` is the one parser -- the store,
+checkpoint load and verify, the replica's receive-time check and the
+scrubber all go through it -- and it turns every kind of damage into a
+:class:`StoreError`.
+
+Segment files are immutable once published: a new snapshot
+generation writes fresh files (clean vertex ranges are block
 copied file-to-file in bounded chunks; dirty ranges are spliced in
 heap), renames them into place, and then atomically replaces the
 manifest.  A crash between those steps leaves at worst a torn temp
@@ -50,7 +59,7 @@ import os
 import struct
 import tempfile
 import zlib
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -63,15 +72,17 @@ from repro.graph.csr import (
 
 __all__ = [
     "ARRAY_NAMES",
+    "Frame",
     "HeapStore",
     "MmapStore",
     "SnapshotStore",
     "StoreError",
     "open_snapshot_reference",
+    "read_frames",
+    "read_segment",
     "store_from_env",
     "store_from_spec",
-    "verify_segment_blob",
-    "verify_segment_file",
+    "write_frame",
 ]
 
 #: The six canonical arrays of a CSR+CSC snapshot, in manifest order.
@@ -193,78 +204,106 @@ class _HeapWriter(_SnapshotWriter):
 
 
 # ----------------------------------------------------------------------
-# Segment files
+# Frames: the one on-disk integrity format
 # ----------------------------------------------------------------------
+class Frame(NamedTuple):
+    """One parsed frame: header fields plus a 1-D view of the payload."""
+
+    dtype: str
+    count: int
+    crc32: int
+    array: np.ndarray
+
+
+#: The dtype codes a frame may hold, keyed by their raw header field.
+_FRAME_CODES = ("<i8", "<f8", "|u1")
+_FRAME_DTYPES = {code.encode("ascii").ljust(8, b"\0"): code
+                 for code in _FRAME_CODES}
+
+
 def _pack_header(dtype: str, count: int, crc: int) -> bytes:
     header = _HEADER.pack(_MAGIC, dtype.encode("ascii").ljust(8, b"\0"),
                           count, crc & 0xFFFFFFFF)
     return header.ljust(_HEADER_SIZE, b"\0")
 
 
-def _read_header(path: str) -> Tuple[str, int, int]:
-    """Return ``(dtype, count, crc32)`` after structural validation."""
-    try:
-        with open(path, "rb") as stream:
-            raw = stream.read(_HEADER_SIZE)
-    except OSError as exc:
-        raise StoreError(f"unreadable segment {path}: {exc}") from exc
-    if len(raw) < _HEADER_SIZE:
-        raise StoreError(f"segment {path} truncated before header end")
-    magic, dtype_raw, count, crc = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise StoreError(f"segment {path} has bad magic {magic!r}")
-    dtype = dtype_raw.rstrip(b"\0").decode("ascii")
-    if dtype not in ("<i8", "<f8"):
-        raise StoreError(f"segment {path} has unknown dtype {dtype!r}")
-    expected = _HEADER_SIZE + count * np.dtype(dtype).itemsize
-    actual = os.path.getsize(path)
-    if actual != expected:
-        raise StoreError(
-            f"segment {path}: size {actual} != expected {expected}"
-        )
-    return dtype, int(count), int(crc)
+def write_frame(stream, array: np.ndarray) -> None:
+    """Append ``array`` (``<i8``, ``<f8`` or ``|u1``, any shape) to
+    ``stream`` as one frame: header, then its raw C-order bytes."""
+    array = np.ascontiguousarray(array)
+    if array.dtype.str not in _FRAME_CODES:
+        raise ValueError(f"frames cannot hold dtype {array.dtype.str!r}")
+    stream.write(_pack_header(array.dtype.str, array.size,
+                              zlib.crc32(array)))
+    stream.write(array)
 
 
-def verify_segment_file(path: str) -> Tuple[str, int, int]:
-    """Header + full payload-CRC check of one ``.seg`` file.
+def read_frames(source, context: Optional[str] = None, verify: bool = True,
+                limit: Optional[int] = None) -> List[Frame]:
+    """Parse the frame sequence in ``source`` -- a file path (memory-
+    mapped, so frames come back as ``np.memmap`` views) or a bytes-like
+    object (frames are views into it).
 
-    Returns ``(dtype, count, crc32)`` on success; raises
-    :class:`StoreError` on structural damage or payload bit-rot.  This
-    is the primitive the integrity scrubber and the replica receive
-    path share with :meth:`MmapStore.verify`.
+    The frames must tile the source exactly.  Every kind of damage --
+    an unreadable or empty file, a torn header, bad magic, an unknown
+    dtype, non-zero header padding, a payload running past the end, a
+    payload CRC mismatch (when ``verify``) -- raises :class:`StoreError`.
+    ``limit`` stops after that many frames without looking further
+    (reading a checkpoint's index frame alone).
     """
-    dtype, count, crc = _read_header(path)
-    actual = 0
-    with open(path, "rb") as stream:
-        stream.seek(_HEADER_SIZE)
-        while True:
-            block = stream.read(1 << 20)
-            if not block:
-                break
-            actual = zlib.crc32(block, actual)
-    if actual & 0xFFFFFFFF != crc:
-        raise StoreError(f"segment {path} payload CRC mismatch")
-    return dtype, count, crc
+    if isinstance(source, str):
+        context = context or source
+        try:
+            buf = np.memmap(source, dtype=np.uint8, mode="r")
+        except (OSError, ValueError) as exc:
+            raise StoreError(f"unreadable frame file {source}: {exc}") \
+                from exc
+    else:
+        context = context or "<blob>"
+        buf = np.frombuffer(source, dtype=np.uint8)
+    frames: List[Frame] = []
+    offset = 0
+    while offset < buf.size and (limit is None or len(frames) < limit):
+        if buf.size - offset < _HEADER_SIZE:
+            raise StoreError(f"{context}: truncated frame header at byte "
+                             f"{offset}")
+        header = buf[offset:offset + _HEADER_SIZE].tobytes()
+        magic, dtype_raw, count, crc = _HEADER.unpack_from(header)
+        if magic != _MAGIC:
+            raise StoreError(f"{context}: bad frame magic {magic!r} at byte "
+                             f"{offset}")
+        dtype = _FRAME_DTYPES.get(dtype_raw)
+        if dtype is None:
+            raise StoreError(f"{context}: unknown frame dtype {dtype_raw!r}")
+        if any(header[_HEADER.size:]):
+            raise StoreError(f"{context}: damaged frame header padding at "
+                             f"byte {offset}")
+        start = offset + _HEADER_SIZE
+        offset = start + count * np.dtype(dtype).itemsize
+        if offset > buf.size:
+            raise StoreError(f"{context}: frame payload truncated "
+                             f"({buf.size - start} of {offset - start} "
+                             f"bytes)")
+        payload = buf[start:offset]
+        if verify and zlib.crc32(payload) != crc:
+            raise StoreError(f"{context}: payload CRC mismatch in frame "
+                             f"{len(frames)}")
+        frames.append(Frame(dtype, int(count), int(crc),
+                            payload.view(dtype)))
+    if not frames:
+        raise StoreError(f"{context} holds no frames")
+    return frames
 
 
-def verify_segment_blob(blob: bytes, context: str = "<blob>") -> None:
-    """Like :func:`verify_segment_file` for an in-memory segment image
-    (a shipped store-segment payload that has not touched disk yet)."""
-    if len(blob) < _HEADER_SIZE:
-        raise StoreError(f"segment {context} truncated before header end")
-    magic, dtype_raw, count, crc = _HEADER.unpack_from(blob)
-    if magic != _MAGIC:
-        raise StoreError(f"segment {context} has bad magic {magic!r}")
-    dtype = dtype_raw.rstrip(b"\0").decode("ascii", errors="replace")
-    if dtype not in ("<i8", "<f8"):
-        raise StoreError(f"segment {context} has unknown dtype {dtype!r}")
-    expected = _HEADER_SIZE + int(count) * np.dtype(dtype).itemsize
-    if len(blob) != expected:
-        raise StoreError(
-            f"segment {context}: size {len(blob)} != expected {expected}"
-        )
-    if zlib.crc32(blob[_HEADER_SIZE:]) & 0xFFFFFFFF != crc:
-        raise StoreError(f"segment {context} payload CRC mismatch")
+def read_segment(source, context: Optional[str] = None,
+                 verify: bool = True) -> Frame:
+    """The frame of a store segment (a one-frame sequence)."""
+    frames = read_frames(source, context, verify=verify)
+    if len(frames) != 1:
+        where = context or (source if isinstance(source, str) else "<blob>")
+        raise StoreError(f"segment {where} holds {len(frames)} frames, "
+                         f"expected 1")
+    return frames[0]
 
 
 def _evict_pages(*arrays) -> None:
@@ -522,29 +561,16 @@ class MmapStore(SnapshotStore):
 
     def _open_array(self, meta: dict, verify: bool = False) -> np.ndarray:
         path = os.path.join(self.root, meta["file"])
-        dtype, count, crc = _read_header(path)
-        if dtype != meta["dtype"] or count != int(meta["count"]):
+        frame = read_segment(path, verify=verify)
+        if (frame.dtype, frame.count) != (meta["dtype"], int(meta["count"])):
             raise StoreError(
                 f"segment {path} header disagrees with manifest "
-                f"({dtype},{count}) != ({meta['dtype']},{meta['count']})"
+                f"({frame.dtype},{frame.count}) != "
+                f"({meta['dtype']},{meta['count']})"
             )
-        if crc != int(meta["crc32"]):
+        if frame.crc32 != int(meta["crc32"]):
             raise StoreError(f"segment {path} CRC header/manifest mismatch")
-        if verify:
-            actual = 0
-            with open(path, "rb") as stream:
-                stream.seek(_HEADER_SIZE)
-                while True:
-                    block = stream.read(1 << 20)
-                    if not block:
-                        break
-                    actual = zlib.crc32(block, actual)
-            if actual & 0xFFFFFFFF != crc:
-                raise StoreError(f"segment {path} payload CRC mismatch")
-        if count == 0:
-            return np.empty(0, dtype=np.dtype(dtype))
-        return np.memmap(path, dtype=np.dtype(dtype), mode="r",
-                         offset=_HEADER_SIZE, shape=(count,))
+        return frame.array
 
     def open_snapshot(self, snapshot_id: Optional[str] = None,
                       verify: bool = False) -> CSRGraph:

@@ -7,7 +7,7 @@ A :class:`RecoveryManager` owns one on-disk state directory::
       quarantine.json         sequence numbers of poison batches
       wal/                    append-only mutation log (repro.recovery.wal)
       checkpoints/
-        ckpt-<seq>.npz        atomic engine snapshots, newest wins
+        ckpt-<seq>.ckpt       atomic engine snapshots, newest wins
 
 and composes three guarantees:
 
@@ -17,7 +17,7 @@ and composes three guarantees:
 2. **Periodic atomic checkpoints** -- :meth:`maybe_checkpoint` snapshots
    the engine every ``checkpoint_every`` batches via
    :func:`repro.runtime.checkpoint.save_engine` (temp file +
-   ``os.replace``, checksum in the payload), rotates retained
+   ``os.replace``, a CRC per frame), rotates retained
    generations, and garbage-collects WAL segments the oldest retained
    checkpoint already covers;
 3. **Verified recovery** -- :meth:`recover` restores the newest
@@ -49,11 +49,7 @@ from repro.graph.mutation import MutationBatch
 from repro.obs import trace
 from repro.obs.registry import get_registry
 from repro.recovery.wal import SealedSegment, WriteAheadLog
-from repro.runtime.checkpoint import (
-    load_engine,
-    read_checkpoint_extra,
-    save_engine,
-)
+from repro.runtime.checkpoint import load_engine, save_engine
 from repro.testing import faults
 from repro.testing.faults import InjectedCrash
 
@@ -64,7 +60,7 @@ __all__ = [
     "default_poison_check",
 ]
 
-_CKPT_RE = re.compile(r"^ckpt-(\d{20})\.npz$")
+_CKPT_RE = re.compile(r"^ckpt-(\d{20})\.ckpt$")
 
 
 class RecoveryError(RuntimeError):
@@ -332,19 +328,29 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
-    def checkpoints(self) -> List[Tuple[int, str]]:
-        """``(seq, path)`` of every retained generation, oldest first."""
+    @staticmethod
+    def list_checkpoints(checkpoint_dir: str) -> List[Tuple[int, str]]:
+        """``(seq, path)`` of every checkpoint file in ``checkpoint_dir``
+        (none if it is missing), oldest first.  The one place that
+        parses checkpoint file names; the scrubber and the offline
+        replication status list through it."""
+        if not os.path.isdir(checkpoint_dir):
+            return []
         found = []
-        for name in os.listdir(self._checkpoint_dir):
+        for name in os.listdir(checkpoint_dir):
             match = _CKPT_RE.match(name)
             if match:
                 found.append((int(match.group(1)),
-                              os.path.join(self._checkpoint_dir, name)))
+                              os.path.join(checkpoint_dir, name)))
         found.sort()
         return found
 
+    def checkpoints(self) -> List[Tuple[int, str]]:
+        """``(seq, path)`` of every retained generation, oldest first."""
+        return self.list_checkpoints(self._checkpoint_dir)
+
     def _checkpoint_path(self, seq: int) -> str:
-        return os.path.join(self._checkpoint_dir, f"ckpt-{seq:020d}.npz")
+        return os.path.join(self._checkpoint_dir, f"ckpt-{seq:020d}.ckpt")
 
     def checkpoint(self, engine: GraphBoltEngine, seq: int) -> str:
         """Snapshot ``engine`` as covering WAL records ``[0, seq)``."""
@@ -376,7 +382,7 @@ class RecoveryManager:
         if os.path.exists(path):
             return path
         fd, tmp_path = tempfile.mkstemp(dir=self._checkpoint_dir,
-                                        suffix=".npz.tmp")
+                                        suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as stream:
                 stream.write(blob)
@@ -458,9 +464,9 @@ class RecoveryManager:
         registry = get_registry()
         for seq, path in reversed(generations):
             try:
+                extra: Dict[str, np.ndarray] = {}
                 engine = load_engine(path, algorithm_factory(),
-                                     **load_kwargs)
-                extra = read_checkpoint_extra(path)
+                                     extra=extra, **load_kwargs)
                 stored_seq = int(extra.get("recovery_seq", seq))
                 if stored_seq != seq:
                     raise ValueError(

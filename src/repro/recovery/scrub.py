@@ -1,26 +1,29 @@
 """Background integrity scrubbing for durable state directories.
 
 Every durable artifact this system writes is CRC-guarded -- WAL records
-(:mod:`repro.recovery.wal`), checkpoint payloads
-(:mod:`repro.runtime.checkpoint`), snapshot-store segment files
-(:mod:`repro.graph.storage`) -- but until now those CRCs were only
-checked when the artifact happened to be read.  Bit-rot on a segment
-nobody reopens sits undetected until the worst moment: a restart, a
-failover, a replica bootstrap.  The :class:`IntegrityScrubber` walks a
-state directory *proactively*, re-verifying every CRC it can find, and
--- with ``repair=True`` -- heals what it can:
+(:mod:`repro.recovery.wal`), and the frames of checkpoints
+(:mod:`repro.runtime.checkpoint`) and snapshot-store segment files
+(:mod:`repro.graph.storage`), which share one format and one parser
+-- but those CRCs are otherwise only checked when the artifact
+happens to be read.  Bit-rot on a segment nobody reopens sits
+undetected until the worst moment: a restart, a failover, a replica
+bootstrap.  The :class:`IntegrityScrubber` walks a state directory
+*proactively*, re-verifying every CRC it can find, and -- with
+``repair=True`` -- heals what it can:
 
 - **Store segments.**  The six canonical arrays of a snapshot are a
   CSR+CSC pair over the *same* edge set, sorted by ``(src, dst)`` and
   ``(dst, src)`` respectively.  Edge keys are unique, so each ordering
-  is a permutation-independent total order: a damaged direction can be
-  rebuilt **bit-for-bit** from the clean one in heap (a lexsort and a
-  bincount), and the rebuild is proven by comparing its CRC32 against
-  the manifest's recorded value before the file is replaced.  Damage
-  spanning both directions cannot be rebuilt standalone -- the
-  generation is quarantined (files sidelined to ``quarantine/``, the
-  manifest entry dropped) so nothing ever silently serves rotten data;
-  a replication cluster then heals by re-shipping from the writer
+  is a permutation-independent total order: a damaged direction is
+  rebuilt **bit-for-bit** in heap by handing the clean direction's
+  edge list to the canonical :class:`~repro.graph.csr.CSRGraph`
+  constructor, and the rebuilt file is proven by comparing its CRC32
+  against the manifest's recorded value before it replaces the
+  damaged one.  Damage spanning both directions cannot be rebuilt
+  standalone -- the generation is quarantined (files sidelined to
+  ``quarantine/``, the manifest entry dropped) so nothing ever silently
+  serves rotten data; a replication cluster then heals by re-shipping
+  from the writer
   (:meth:`repro.serving.replication.ReplicationCluster.scrub`).
 
 - **Sealed WAL segments.**  A corrupt record inside history that the
@@ -28,9 +31,10 @@ state directory *proactively*, re-verifying every CRC it can find, and
   the covered prefix (recovery never replays it); damage *above* the
   checkpoint is unrepairable standalone and is reported as such.
 
-- **Checkpoints.**  A checkpoint whose payload checksum fails is
-  sidelined; recovery already skips unloadable generations, so
-  sidelining only makes the skip explicit and durable.
+- **Checkpoints.**  A checkpoint that fails verification (a frame CRC
+  or a structural check) is sidelined; recovery already skips
+  unloadable generations, so sidelining only makes the skip explicit
+  and durable.
 
 Results land in a machine-readable ``scrub-report.json`` in the state
 directory plus ``scrub.*`` counters, and surface through
@@ -42,23 +46,25 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.graph.csr import CSRGraph
 from repro.graph.storage import (
-    ARRAY_DTYPES,
     ARRAY_NAMES,
     StoreError,
-    verify_segment_file,
-    _HEADER_SIZE,
-    _pack_header,
+    read_segment,
+    write_frame,
 )
 from repro.obs.registry import get_registry
+from repro.recovery.manager import RecoveryManager
 from repro.recovery.wal import _decode_record
-from repro.runtime.checkpoint import read_store_manifest
+from repro.runtime.checkpoint import (
+    read_store_manifest,
+    verify_checkpoint_blob,
+)
 
 __all__ = [
     "IntegrityScrubber",
@@ -136,76 +142,20 @@ class ScrubReport:
         )
 
 
-# ----------------------------------------------------------------------
-# Bit-for-bit direction rebuild (CSR <-> CSC transposition)
-# ----------------------------------------------------------------------
-def _rebuild_direction(num_vertices: int, rebuild_out: bool,
-                       offsets: np.ndarray, endpoints: np.ndarray,
-                       weights: np.ndarray) -> Dict[str, np.ndarray]:
-    """Rebuild one direction's three arrays from the clean other one.
-
-    ``offsets``/``endpoints``/``weights`` are the *clean* direction.
-    Because edge keys are unique and both canonical orders are strict
-    total orders, the result is bit-for-bit the arrays the original
-    constructor produced.
-    """
-    counts = np.diff(np.asarray(offsets, dtype=np.int64))
-    anchor = np.repeat(np.arange(num_vertices, dtype=np.int64), counts)
-    other = np.asarray(endpoints, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if rebuild_out:
-        # clean = in direction: anchor is dst, other is src.
-        src, dst = other, anchor
-        order = np.lexsort((dst, src))  # (src, dst) order
-        rebuilt_offsets = _offsets_of(src[order], num_vertices)
-        return {"out_offsets": rebuilt_offsets,
-                "out_targets": dst[order],
-                "out_weights": weights[order]}
-    # clean = out direction: anchor is src, other is dst.
-    src, dst = anchor, other
-    order = np.lexsort((src, dst))  # (dst, src) order
-    rebuilt_offsets = _offsets_of(dst[order], num_vertices)
-    return {"in_offsets": rebuilt_offsets,
-            "in_sources": src[order],
-            "in_weights": weights[order]}
-
-
-def _offsets_of(sorted_keys: np.ndarray, num_vertices: int) -> np.ndarray:
-    counts = np.bincount(sorted_keys, minlength=num_vertices)
-    offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
-
-
-def _segment_bytes(array: np.ndarray, dtype: str) -> Tuple[bytes, int]:
-    data = np.ascontiguousarray(
-        array, dtype=np.dtype(dtype)
-    ).tobytes()
-    return data, zlib.crc32(data) & 0xFFFFFFFF
-
-
-def _write_segment(path: str, dtype: str, count: int,
-                   crc: int, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def _stage_segment(path: str, array: np.ndarray) -> str:
+    """Write ``array`` as a segment file next to ``path``; returns the
+    temp path (the caller replaces or removes it)."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as stream:
-            stream.write(_pack_header(dtype, count, crc))
-            stream.write(data)
+            write_frame(stream, array)
             stream.flush()
             os.fsync(stream.fileno())
-        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        os.remove(tmp)
         raise
-
-
-def _open_clean_array(path: str, dtype: str, count: int) -> np.ndarray:
-    if count == 0:
-        return np.empty(0, dtype=np.dtype(dtype))
-    return np.memmap(path, dtype=np.dtype(dtype), mode="r",
-                     offset=_HEADER_SIZE, shape=(int(count),))
+    return tmp
 
 
 @dataclass
@@ -304,23 +254,15 @@ class IntegrityScrubber:
         report.checked["wal_records"] = records
 
     def _checkpoints(self) -> List[Tuple[int, str]]:
-        if not os.path.isdir(self.ckpt_dir):
-            return []
-        entries = []
-        for name in os.listdir(self.ckpt_dir):
-            if name.startswith("ckpt-") and name.endswith(".npz"):
-                stem = name[5:-4]
-                if stem.isdigit():
-                    entries.append((int(stem),
-                                    os.path.join(self.ckpt_dir, name)))
-        return sorted(entries)
+        return RecoveryManager.list_checkpoints(self.ckpt_dir)
 
     def _scan_checkpoints(self, report: ScrubReport) -> None:
         checkpoints = self._checkpoints()
         report.checked["checkpoints"] = len(checkpoints)
         for seq, path in checkpoints:
             try:
-                read_store_manifest(path)
+                with open(path, "rb") as stream:
+                    verify_checkpoint_blob(stream.read(), context=path)
             except ValueError as exc:
                 report.findings.append(ScrubFinding(
                     kind="checkpoint", path=path, first_seq=seq,
@@ -390,15 +332,15 @@ class IntegrityScrubber:
             path = os.path.join(group.root, meta["file"])
             report.checked["store_segments"] = checked = checked + 1
             try:
-                dtype, count, crc = verify_segment_file(path)
-                if (dtype != meta["dtype"]
-                        or count != int(meta["count"])
-                        or crc != int(meta["crc32"])):
+                frame = read_segment(path)
+                if (frame.dtype != meta["dtype"]
+                        or frame.count != int(meta["count"])
+                        or frame.crc32 != int(meta["crc32"])):
                     raise StoreError(
                         f"segment {path} disagrees with its "
                         f"{group.source} entry"
                     )
-            except (OSError, StoreError) as exc:
+            except StoreError as exc:
                 report.findings.append(ScrubFinding(
                     kind="store", path=path, detail=str(exc),
                     snapshot=group.snapshot, array=name,
@@ -454,58 +396,56 @@ class IntegrityScrubber:
                 finding.repair = detail
             return
         clean_names = _IN_ARRAYS if rebuild_out else _OUT_ARRAYS
-        clean = {}
         try:
-            for name in clean_names:
-                meta = group.arrays[name]
-                clean[name] = _open_clean_array(
-                    os.path.join(group.root, meta["file"]),
-                    meta["dtype"], int(meta["count"]),
-                )
-        except OSError as exc:
+            # The clean direction's three arrays -> its edge list ->
+            # the canonical constructor, which sorts both directions
+            # exactly as the snapshot's first build did.
+            offsets, others, weights = (
+                read_segment(os.path.join(group.root,
+                                          group.arrays[name]["file"]),
+                             verify=False).array
+                for name in clean_names
+            )
+            anchor = np.repeat(
+                np.arange(group.num_vertices, dtype=np.int64),
+                np.diff(offsets),
+            )
+            src, dst = (others, anchor) if rebuild_out else (anchor, others)
+            rebuilt = CSRGraph(group.num_vertices, src, dst, weights)
+        except ValueError as exc:
             detail = self._quarantine_store_group(group)
             for finding in findings:
                 finding.repaired = group.source == "manifest"
                 finding.repair = (
-                    f"clean direction unreadable ({exc}); {detail}"
+                    f"clean direction unusable ({exc}); {detail}"
                 )
             return
-        if rebuild_out:
-            rebuilt = _rebuild_direction(
-                group.num_vertices, True,
-                clean["in_offsets"], clean["in_sources"],
-                clean["in_weights"],
-            )
-        else:
-            rebuilt = _rebuild_direction(
-                group.num_vertices, False,
-                clean["out_offsets"], clean["out_targets"],
-                clean["out_weights"],
-            )
         # Prove the rebuild is bit-for-bit BEFORE replacing anything:
-        # every rebuilt array's CRC must equal the recorded value.
+        # every rebuilt file's CRC must equal the recorded value.
         staged = {}
-        for finding in findings:
-            meta = group.arrays[finding.array]
-            data, crc = _segment_bytes(rebuilt[finding.array],
-                                       meta["dtype"])
-            if (crc != int(meta["crc32"])
-                    or len(data) != int(meta["count"])
-                    * np.dtype(meta["dtype"]).itemsize):
-                detail = self._quarantine_store_group(group)
-                for other in findings:
-                    other.repaired = group.source == "manifest"
-                    other.repair = (
-                        f"rebuild CRC mismatch on {finding.array}; "
-                        f"{detail}"
-                    )
-                return
-            staged[finding.array] = (meta, data, crc)
-        for name, (meta, data, crc) in staged.items():
-            _write_segment(
-                os.path.join(group.root, meta["file"]),
-                meta["dtype"], int(meta["count"]), crc, data,
-            )
+        try:
+            for finding in findings:
+                meta = group.arrays[finding.array]
+                path = os.path.join(group.root, meta["file"])
+                staged[path] = _stage_segment(
+                    path, getattr(rebuilt, finding.array))
+                frame = read_segment(staged[path])
+                if ((frame.dtype, frame.count, frame.crc32)
+                        != (meta["dtype"], int(meta["count"]),
+                            int(meta["crc32"]))):
+                    detail = self._quarantine_store_group(group)
+                    for other in findings:
+                        other.repaired = group.source == "manifest"
+                        other.repair = (
+                            f"rebuild CRC mismatch on {finding.array}; "
+                            f"{detail}"
+                        )
+                    return
+            for path in list(staged):
+                os.replace(staged.pop(path), path)
+        finally:
+            for tmp in staged.values():
+                os.remove(tmp)
         direction = "out" if rebuild_out else "in"
         for finding in findings:
             finding.repaired = True

@@ -4,35 +4,42 @@ Streaming deployments run for days; losing the tracked dependency
 history to a crash would force a full re-run on the next mutation.
 :func:`save_engine` persists a :class:`~repro.core.engine.GraphBoltEngine`'s
 complete processing state -- graph snapshot, rolling values/aggregate,
-frontier, and the per-iteration dependency history -- to a single
-``.npz`` file; :func:`load_engine` reconstructs an engine that continues
-exactly where the saved one stopped (same values, same refinement
-behaviour on the next batch).
+frontier, and the per-iteration dependency history -- to a single file;
+:func:`load_engine` reconstructs an engine that continues exactly where
+the saved one stopped (same values, same refinement behaviour on the
+next batch).
+
+File format (version 4): a sequence of the CRC-guarded frames the
+snapshot store writes (:mod:`repro.graph.storage`), uncompressed:
+
+- frame 0 is the UTF-8 JSON *index* (dtype ``|u1``, space-padded to a
+  multiple of 8 bytes): ``format_version``, the algorithm fingerprint,
+  the scalars (vertex count, iteration, history length, ...), the
+  caller's ``extra`` entries, the graph payload mode, and the name,
+  dtype and shape of every array;
+- then one frame per array (``<i8``/``<f8``, 1-D or 2-D) in index
+  order.
 
 Durability discipline (see ``docs/operations.md``):
 
-- **Atomic publish** -- the payload is written to a temp file in the
+- **Atomic publish** -- the file is written to a temp file in the
   *same directory* and moved into place with ``os.replace``, so a crash
   mid-write leaves either the previous checkpoint or none, never a
-  truncated ``.npz``.  ``save_engine`` returns the real on-disk path
-  (``numpy`` appends ``.npz`` to suffix-less names; the returned path
-  always names an existing file).
-- **Checksum in the payload** -- a CRC32 over every array's name,
-  dtype, shape, and bytes is stored under ``payload_crc32`` and
-  verified by :func:`load_engine` before anything is interpreted.
+  truncated one.  ``save_engine`` returns the path it published.
+- **A CRC per frame** -- :func:`~repro.graph.storage.read_frames`
+  verifies every frame's CRC32 before anything is interpreted; any
+  damage, including a format-3 ``.npz`` archive, is a ``ValueError``.
 - **Structural validation on load** -- array shapes, dtypes, and index
   ranges are checked against ``num_vertices`` so a corrupted (or
   wrong-file) checkpoint raises a clear ``ValueError`` instead of
   propagating garbage into the engine.
 
-Graph payload modes (format version 3):
+Graph payload modes:
 
 - ``inline`` (heap graphs) -- the six canonical CSR+CSC arrays are
   stored verbatim, so :func:`load_engine` reconstructs the snapshot
-  through :meth:`CSRGraph.from_canonical` with **zero** re-sorts; the
-  pre-v3 format stored raw ``(src, dst, weight)`` triples and paid two
-  O(E log E) lexsorts on every restore.
-- ``manifest`` (mmap-store graphs) -- the payload records a JSON
+  through :meth:`CSRGraph.from_canonical` with **zero** re-sorts.
+- ``manifest`` (mmap-store graphs) -- the index records a JSON
   *store manifest reference* (root, snapshot id, per-array segment
   file + dtype + count + CRC32) instead of inlining gigabytes of edge
   arrays.  The referenced snapshot is pinned in the store for as long
@@ -48,14 +55,10 @@ rejects obvious mismatches.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import tempfile
-import zipfile
-import zlib
-from contextlib import contextmanager
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -65,25 +68,28 @@ from repro.core.model import IncrementalAlgorithm
 from repro.core.pruning import PruningPolicy
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import StreamingGraph
-from repro.graph.storage import open_snapshot_reference
+from repro.graph.storage import (
+    StoreError,
+    open_snapshot_reference,
+    read_frames,
+    write_frame,
+)
 from repro.ligra.delta import DeltaState
 from repro.testing import faults
 
 __all__ = [
     "load_engine",
-    "read_checkpoint_extra",
     "read_store_manifest",
     "save_engine",
     "verify_checkpoint_blob",
 ]
 
-_FORMAT_VERSION = 3
-_CRC_KEY = "payload_crc32"
-_EXTRA_PREFIX = "extra_"
+_FORMAT_VERSION = 4
 _GRAPH_ARRAYS = (
     "out_offsets", "out_targets", "out_weights",
     "in_offsets", "in_sources", "in_weights",
 )
+_ZIP_MAGIC = b"PK\x03\x04"
 
 
 def _fingerprint(algorithm: IncrementalAlgorithm) -> str:
@@ -94,32 +100,14 @@ def _fingerprint(algorithm: IncrementalAlgorithm) -> str:
     )
 
 
-def _payload_crc32(payload: Dict[str, np.ndarray]) -> int:
-    """CRC32 over every entry's name, dtype, shape, and raw bytes."""
-    crc = 0
-    for key in sorted(payload):
-        if key == _CRC_KEY:
-            continue
-        arr = np.asarray(payload[key])
-        for piece in (key, str(arr.dtype), str(arr.shape)):
-            crc = zlib.crc32(piece.encode("utf-8"), crc)
-        crc = zlib.crc32(np.ascontiguousarray(arr).tobytes(), crc)
-    return crc
-
-
-def _normalise_path(path: str) -> str:
-    """The path ``numpy`` will actually write (suffix made explicit)."""
-    return path if path.endswith(".npz") else path + ".npz"
-
-
 def save_engine(engine: GraphBoltEngine, path: str,
                 extra: Optional[Dict[str, np.ndarray]] = None) -> str:
-    """Atomically persist a run engine's state; returns the on-disk path.
+    """Atomically persist a run engine's state at ``path``; returns it.
 
-    ``extra`` entries (e.g. a recovery sequence number) are stored under
-    ``extra_``-prefixed keys, covered by the payload checksum, ignored
-    by :func:`load_engine`, and read back with
-    :func:`read_checkpoint_extra`.
+    ``extra`` entries (e.g. a recovery sequence number) are stored in
+    the index frame, covered by its CRC, ignored by the engine
+    reconstruction, and read back through :func:`load_engine`'s
+    ``extra`` argument.
     """
     engine._require_run()
     graph = engine.graph
@@ -132,52 +120,48 @@ def save_engine(engine: GraphBoltEngine, path: str,
         and store.kind == "mmap"
         and graph.snapshot_id is not None
     )
-    payload = {
-        "format_version": np.int64(_FORMAT_VERSION),
-        "fingerprint": np.array(_fingerprint(engine.algorithm)),
-        "num_vertices": np.int64(graph.num_vertices),
+    index = {
+        "format_version": _FORMAT_VERSION,
+        "fingerprint": _fingerprint(engine.algorithm),
+        "num_vertices": int(graph.num_vertices),
+        "iteration": int(state.iteration),
+        "num_iterations": int(engine.num_iterations),
+        "until_convergence": bool(engine.until_convergence),
+        "hist_len": int(history.horizon),
+        "extra": {key: np.asarray(value).tolist()
+                  for key, value in (extra or {}).items()},
+    }
+    arrays = {
         "values": state.values,
         "prev_values": state.prev_values,
         "aggregate": state.aggregate,
         "frontier": state.frontier,
-        "iteration": np.int64(state.iteration),
-        "num_iterations": np.int64(engine.num_iterations),
-        "until_convergence": np.bool_(engine.until_convergence),
         "hist_initial": history.initial_values,
         "hist_identity": history.identity_aggregate,
-        "hist_len": np.int64(history.horizon),
     }
     if store_backed:
         # Out-of-core snapshot: record a reference to the store's
         # published segment files instead of inlining the edge arrays.
-        payload["graph_mode"] = np.array("manifest")
-        payload["store_manifest"] = np.array(
-            json.dumps(store.manifest_entry(graph.snapshot_id),
-                       sort_keys=True)
-        )
+        index["graph_mode"] = "manifest"
+        index["store_manifest"] = store.manifest_entry(graph.snapshot_id)
     else:
         # Heap snapshot: the six canonical arrays round-trip through
         # CSRGraph.from_canonical without re-sorting on restore.
-        payload["graph_mode"] = np.array("inline")
+        index["graph_mode"] = "inline"
         for name in _GRAPH_ARRAYS:
-            payload[name] = getattr(graph, name)
-    for index, record in enumerate(history.records):
-        payload[f"rec_{index}_g_idx"] = record.g_idx
-        payload[f"rec_{index}_g_values"] = record.g_values
-        payload[f"rec_{index}_c_idx"] = record.c_idx
-        payload[f"rec_{index}_c_values"] = record.c_values
-    if extra:
-        for key, value in extra.items():
-            payload[f"{_EXTRA_PREFIX}{key}"] = np.asarray(value)
-    payload[_CRC_KEY] = np.uint32(_payload_crc32(payload))
+            arrays[name] = getattr(graph, name)
+    for number, record in enumerate(history.records):
+        arrays[f"rec_{number}_g_idx"] = record.g_idx
+        arrays[f"rec_{number}_g_values"] = record.g_values
+        arrays[f"rec_{number}_c_idx"] = record.c_idx
+        arrays[f"rec_{number}_c_values"] = record.c_values
 
-    path = _normalise_path(path)
     directory = os.path.dirname(os.path.abspath(path))
     faults.hit("checkpoint.write")
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".npz.tmp")
+    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as stream:
-            np.savez_compressed(stream, **payload)
+            _write_checkpoint(stream, index, arrays)
         faults.hit("checkpoint.replace")
         os.replace(tmp_path, path)
     except BaseException:
@@ -194,6 +178,23 @@ def save_engine(engine: GraphBoltEngine, path: str,
     return path
 
 
+def _write_checkpoint(stream, index: dict,
+                      arrays: Dict[str, np.ndarray]) -> None:
+    """The index frame (``index`` plus each array's name, dtype and
+    shape), then one frame per array in index order."""
+    arrays = {name: np.asarray(array) for name, array in arrays.items()}
+    index = dict(index, arrays=[
+        {"name": name, "dtype": array.dtype.str, "shape": list(array.shape)}
+        for name, array in arrays.items()
+    ])
+    text = json.dumps(index, sort_keys=True).encode("utf-8")
+    # Space-pad to a multiple of 8 so every array frame stays aligned.
+    text += b" " * (-len(text) % 8)
+    write_frame(stream, np.frombuffer(text, dtype=np.uint8))
+    for array in arrays.values():
+        write_frame(stream, array)
+
+
 # ----------------------------------------------------------------------
 # Load-time validation
 # ----------------------------------------------------------------------
@@ -202,24 +203,63 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(f"corrupt checkpoint: {message}")
 
 
-@contextmanager
-def _checkpoint_data(path: str):
-    """Open an ``.npz`` checkpoint, folding every way a damaged archive
-    can fail (bad zip directory, bad member CRC, truncated deflate
-    stream, missing arrays) into one clear ``ValueError``.
+def _read_file(path: str) -> bytearray:
+    """A checkpoint's bytes in one writable heap buffer; the restored
+    arrays are writable views into it, not copies."""
+    with open(path, "rb") as stream:
+        buf = bytearray(os.fstat(stream.fileno()).st_size)
+        stream.readinto(buf)
+    return buf
 
-    ``npz`` members decompress lazily, so these errors can surface at
-    any ``data[key]`` access inside the block, not just at open."""
+
+def _read_checkpoint(source, context: str,
+                     limit: Optional[int] = None
+                     ) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """Parse a checkpoint's frames (``source`` as for
+    :func:`~repro.graph.storage.read_frames`) into ``(index, arrays)``.
+
+    Every frame's CRC is verified and the frames are matched against
+    the index's array table; ``limit=1`` reads the index frame alone
+    (and returns no arrays).  Structural checks are
+    :func:`_verify_payload`'s job."""
     try:
-        with np.load(path, allow_pickle=False) as data:
-            yield data
-    except ValueError:
-        raise
-    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError) as exc:
+        frames = read_frames(source, context, limit=limit)
+    except StoreError as exc:
+        if not isinstance(source, str) and bytes(source[:4]) == _ZIP_MAGIC:
+            raise ValueError(
+                f"corrupt checkpoint: {context} is a zip (.npz) archive "
+                f"from an older format; only format-{_FORMAT_VERSION} "
+                f"frame files are readable"
+            ) from exc
+        raise ValueError(f"corrupt checkpoint: {exc}") from exc
+    index_frame = frames[0]
+    _require(index_frame.dtype == "|u1",
+             f"{context} does not start with an index frame")
+    try:
+        index = json.loads(index_frame.array.tobytes().decode("utf-8"))
+    except ValueError as exc:
         raise ValueError(
-            f"corrupt checkpoint: {path} is unreadable "
-            f"({type(exc).__name__}: {exc})"
+            f"corrupt checkpoint: {context} has an unreadable index ({exc})"
         ) from exc
+    _require(isinstance(index, dict), "index is not a JSON object")
+    version = index.get("format_version")
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    if limit is not None:
+        return index, {}
+    table = index.get("arrays")
+    _require(isinstance(table, list) and len(table) == len(frames) - 1,
+             f"{context} index lists {len(table or ())} arrays but the "
+             f"file holds {len(frames) - 1}")
+    arrays = {}
+    for entry, frame in zip(table, frames[1:]):
+        name = entry["name"]
+        shape = tuple(int(n) for n in entry["shape"])
+        _require(frame.dtype == entry["dtype"]
+                 and frame.count == int(np.prod(shape, dtype=np.int64)),
+                 f"frame for {name} does not match its index entry")
+        arrays[name] = frame.array.reshape(shape)
+    return index, arrays
 
 
 def verify_checkpoint_blob(blob: bytes, context: str = "<blob>") -> None:
@@ -230,20 +270,9 @@ def verify_checkpoint_blob(blob: bytes, context: str = "<blob>") -> None:
     corrupted in transit must be rejected at receive time, never
     adopted onto a replica's disk where a later reload would silently
     fall back past it.  Raises :class:`ValueError` on any damage --
-    bad zip structure, member CRC, payload checksum, or structural
-    violation.
+    a frame header, a frame CRC, or a structural violation.
     """
-    try:
-        with np.load(io.BytesIO(blob), allow_pickle=False) as data:
-            _verify_payload(data, context)
-    except ValueError:
-        raise
-    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError,
-            OSError) as exc:
-        raise ValueError(
-            f"corrupt checkpoint: {context} is unreadable "
-            f"({type(exc).__name__}: {exc})"
-        ) from exc
+    _verify_payload(*_read_checkpoint(blob, context), context)
 
 
 def _check_index_array(name: str, arr: np.ndarray,
@@ -284,46 +313,38 @@ def _verify_canonical_arrays(data, num_vertices: int) -> None:
              "in_weights does not match in_sources")
 
 
-def _parse_store_manifest(text: str) -> dict:
-    try:
-        reference = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"corrupt checkpoint: unreadable store manifest ({exc})"
-        ) from exc
+def _store_reference(index: dict) -> dict:
+    reference = index.get("store_manifest")
     _require(isinstance(reference, dict),
-             "store manifest is not a JSON object")
+             "manifest payload has no store reference")
     for key in ("kind", "root", "snapshot", "num_vertices", "arrays"):
         _require(key in reference, f"store manifest is missing {key!r}")
     return reference
 
 
-def _verify_payload(data, path: str) -> None:
-    """Checksum plus structural validation, before interpretation."""
-    version = int(data["format_version"])
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    if _CRC_KEY not in data:
-        raise ValueError(f"corrupt checkpoint: {path} has no checksum")
-    payload = {key: data[key] for key in data.files if key != _CRC_KEY}
-    stored = int(np.uint32(data[_CRC_KEY]))
-    actual = _payload_crc32(payload)
-    _require(stored == actual,
-             f"checksum mismatch in {path} "
-             f"(stored {stored}, computed {actual})")
+_INDEX_KEYS = ("fingerprint", "num_vertices", "iteration", "num_iterations",
+               "until_convergence", "hist_len", "graph_mode")
+_STATE_ARRAYS = ("values", "prev_values", "aggregate", "frontier",
+                 "hist_initial", "hist_identity")
 
-    num_vertices = int(data["num_vertices"])
+
+def _verify_payload(index: dict, data: Dict[str, np.ndarray],
+                    path: str) -> None:
+    """Structural validation, before interpretation (the frame parser
+    has already checked every CRC)."""
+    for key in _INDEX_KEYS:
+        _require(key in index, f"{path} index is missing {key!r}")
+    for name in _STATE_ARRAYS:
+        _require(name in data, f"{path} is missing {name}")
+    num_vertices = int(index["num_vertices"])
     _require(num_vertices >= 0, "negative vertex count")
-    _require("graph_mode" in data, "missing graph payload mode")
-    mode = str(data["graph_mode"])
+    mode = index["graph_mode"]
     if mode == "inline":
         for name in _GRAPH_ARRAYS:
             _require(name in data, f"inline payload is missing {name}")
         _verify_canonical_arrays(data, num_vertices)
     elif mode == "manifest":
-        _require("store_manifest" in data,
-                 "manifest payload has no store reference")
-        reference = _parse_store_manifest(str(data["store_manifest"]))
+        reference = _store_reference(index)
         _require(int(reference.get("num_vertices", -1)) == num_vertices,
                  "store manifest vertex count does not match payload")
     else:
@@ -340,36 +361,36 @@ def _verify_payload(data, path: str) -> None:
              if data["aggregate"].ndim else False,
              "aggregate length != num_vertices")
     _check_index_array("frontier", data["frontier"], num_vertices)
-    _require(int(data["iteration"]) >= 0, "negative iteration")
+    _require(int(index["iteration"]) >= 0, "negative iteration")
     _require(data["hist_initial"].shape == values.shape,
              "history initial values shape does not match values")
-    hist_len = int(data["hist_len"])
+    hist_len = int(index["hist_len"])
     _require(hist_len >= 0, "negative history length")
-    for index in range(hist_len):
+    for number in range(hist_len):
         for part in ("g_idx", "g_values", "c_idx", "c_values"):
-            _require(f"rec_{index}_{part}" in data,
-                     f"history record {index} is missing {part}")
-        g_idx = data[f"rec_{index}_g_idx"]
-        c_idx = data[f"rec_{index}_c_idx"]
-        _check_index_array(f"rec_{index}_g_idx", g_idx, num_vertices)
-        _check_index_array(f"rec_{index}_c_idx", c_idx, num_vertices)
-        _require(data[f"rec_{index}_g_values"].shape[0] == g_idx.size,
-                 f"history record {index} aggregate values do not "
+            _require(f"rec_{number}_{part}" in data,
+                     f"history record {number} is missing {part}")
+        g_idx = data[f"rec_{number}_g_idx"]
+        c_idx = data[f"rec_{number}_c_idx"]
+        _check_index_array(f"rec_{number}_g_idx", g_idx, num_vertices)
+        _check_index_array(f"rec_{number}_c_idx", c_idx, num_vertices)
+        _require(data[f"rec_{number}_g_values"].shape[0] == g_idx.size,
+                 f"history record {number} aggregate values do not "
                  f"match indices")
-        _require(data[f"rec_{index}_c_values"].shape[0] == c_idx.size,
-                 f"history record {index} vertex values do not "
+        _require(data[f"rec_{number}_c_values"].shape[0] == c_idx.size,
+                 f"history record {number} vertex values do not "
                  f"match indices")
 
 
-def _restore_graph(data, store_root: Optional[str]) -> CSRGraph:
+def _restore_graph(index: dict, data: Dict[str, np.ndarray],
+                   store_root: Optional[str]) -> CSRGraph:
     """Rebuild the snapshot from either payload mode, with zero sorts."""
-    num_vertices = int(data["num_vertices"])
-    if str(data["graph_mode"]) == "manifest":
-        reference = _parse_store_manifest(str(data["store_manifest"]))
-        return open_snapshot_reference(reference, store_root=store_root)
+    if index["graph_mode"] == "manifest":
+        return open_snapshot_reference(_store_reference(index),
+                                       store_root=store_root)
     return CSRGraph.from_canonical(
-        num_vertices,
-        *(np.ascontiguousarray(data[name]) for name in _GRAPH_ARRAYS),
+        int(index["num_vertices"]),
+        *(data[name] for name in _GRAPH_ARRAYS),
     )
 
 
@@ -378,6 +399,7 @@ def load_engine(
     algorithm: IncrementalAlgorithm,
     pruning: Optional[PruningPolicy] = None,
     store_root: Optional[str] = None,
+    extra: Optional[Dict[str, np.ndarray]] = None,
     **engine_kwargs,
 ) -> GraphBoltEngine:
     """Reconstruct an engine from a checkpoint.
@@ -385,49 +407,54 @@ def load_engine(
     ``algorithm`` must be configured identically to the one that was
     checkpointed (same class, shapes and aggregation); a fingerprint
     mismatch raises ``ValueError`` rather than corrupting results.  The
-    payload checksum and array shapes/ranges are verified first, so a
-    corrupted file fails loudly.
+    file is read once: every frame CRC and the array shapes/ranges are
+    verified first, so a corrupted file fails loudly.
 
     ``store_root`` only matters for manifest-mode checkpoints: it
     overrides the snapshot-store root recorded at save time (replicas
     restore from their own spool directory, not the writer's).
+    ``extra``, when given, is filled with the ``extra`` entries
+    :func:`save_engine` stored.
     """
-    with _checkpoint_data(path) as data:
-        _verify_payload(data, path)
-        stored = str(data["fingerprint"])
-        actual = _fingerprint(algorithm)
-        if stored != actual:
-            raise ValueError(
-                f"algorithm mismatch: checkpoint was {stored!r}, "
-                f"got {actual!r}"
-            )
-        graph = _restore_graph(data, store_root)
-        engine = GraphBoltEngine(
-            algorithm,
-            num_iterations=int(data["num_iterations"]),
-            until_convergence=bool(data["until_convergence"]),
-            pruning=pruning,
-            **engine_kwargs,
+    index, data = _read_checkpoint(_read_file(path), path)
+    _verify_payload(index, data, path)
+    stored = index["fingerprint"]
+    actual = _fingerprint(algorithm)
+    if stored != actual:
+        raise ValueError(
+            f"algorithm mismatch: checkpoint was {stored!r}, "
+            f"got {actual!r}"
         )
-        engine._streaming = StreamingGraph(graph)
-        engine._state = DeltaState(
-            values=data["values"].copy(),
-            prev_values=data["prev_values"].copy(),
-            aggregate=data["aggregate"].copy(),
-            frontier=data["frontier"].copy(),
-            iteration=int(data["iteration"]),
+    graph = _restore_graph(index, data, store_root)
+    engine = GraphBoltEngine(
+        algorithm,
+        num_iterations=int(index["num_iterations"]),
+        until_convergence=bool(index["until_convergence"]),
+        pruning=pruning,
+        **engine_kwargs,
+    )
+    engine._streaming = StreamingGraph(graph)
+    engine._state = DeltaState(
+        values=data["values"].copy(),
+        prev_values=data["prev_values"].copy(),
+        aggregate=data["aggregate"].copy(),
+        frontier=data["frontier"].copy(),
+        iteration=int(index["iteration"]),
+    )
+    history = DependencyHistory(data["hist_initial"],
+                                data["hist_identity"])
+    for number in range(int(index["hist_len"])):
+        history.record(
+            data[f"rec_{number}_g_idx"],
+            data[f"rec_{number}_g_values"],
+            data[f"rec_{number}_c_idx"],
+            data[f"rec_{number}_c_values"],
         )
-        history = DependencyHistory(data["hist_initial"],
-                                    data["hist_identity"])
-        for index in range(int(data["hist_len"])):
-            history.record(
-                data[f"rec_{index}_g_idx"],
-                data[f"rec_{index}_g_values"],
-                data[f"rec_{index}_c_idx"],
-                data[f"rec_{index}_c_values"],
-            )
-        engine._history = history
-        return engine
+    engine._history = history
+    if extra is not None:
+        extra.update((key, np.asarray(value))
+                     for key, value in index.get("extra", {}).items())
+    return engine
 
 
 def read_store_manifest(path: str) -> Optional[dict]:
@@ -435,19 +462,9 @@ def read_store_manifest(path: str) -> Optional[dict]:
 
     Replication uses this to discover which snapshot-store segment
     files a manifest-mode checkpoint depends on, so they can be
-    shipped to replicas ahead of the checkpoint itself."""
-    with _checkpoint_data(path) as data:
-        _verify_payload(data, path)
-        if str(data["graph_mode"]) != "manifest":
-            return None
-        return _parse_store_manifest(str(data["store_manifest"]))
-
-
-def read_checkpoint_extra(path: str) -> Dict[str, np.ndarray]:
-    """Checksum-verified ``extra`` metadata stored by :func:`save_engine`."""
-    with _checkpoint_data(path) as data:
-        _verify_payload(data, path)
-        return {
-            key[len(_EXTRA_PREFIX):]: data[key]
-            for key in data.files if key.startswith(_EXTRA_PREFIX)
-        }
+    shipped to replicas ahead of the checkpoint itself.  Only the
+    (CRC-verified) index frame is read."""
+    index, _ = _read_checkpoint(path, path, limit=1)
+    if index.get("graph_mode") != "manifest":
+        return None
+    return _store_reference(index)

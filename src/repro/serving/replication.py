@@ -9,9 +9,10 @@ abstraction:
   for a final sync) it never gains records, so a segment is shipped as
   its raw CRC-guarded lines and the replica re-verifies every record
   end-to-end with the WAL's own decoder;
-- **checkpoints** -- the writer's atomic ``ckpt-<seq>.npz`` archives,
-  adopted byte-for-byte, which is both how a fresh replica bootstraps
-  and how a lagging replica heals past garbage-collected history;
+- **checkpoints** -- the writer's atomic checkpoint files (CRC-framed,
+  see :mod:`repro.runtime.checkpoint`), adopted byte-for-byte, which
+  is both how a fresh replica bootstraps and how a lagging replica
+  heals past garbage-collected history;
 - **store segments** -- when the writer's graph lives in an mmap
   :class:`~repro.graph.storage.MmapStore`, its checkpoints record a
   *manifest reference* instead of inlining the edge arrays, so before
@@ -56,14 +57,15 @@ mid-apply; fault = delivery deferred one round -- planted lag),
 failover).
 
 **Hostile transports**: every shipment's payload is CRC-guarded end to
-end (WAL record CRCs, store-segment headers), so a replica detects a
-corrupt delivery at apply time and raises
-:class:`ShipmentIntegrityError` -- a NACK.  The cluster answers a NACK
-the same way it answers a gap: discard the bad shipment, rewind the
-link, re-ship.  Retries are bounded by a :class:`RetryPolicy`
-(deterministic-jitter exponential backoff, per-link attempt budget);
-a link that exhausts its budget has its undelivered range recorded on
-the durable :class:`DeadLetterLedger` instead of hanging the writer.
+end (WAL record CRCs, the frame CRCs of store segments and
+checkpoints), so a replica detects a corrupt delivery at apply time
+and raises :class:`ShipmentIntegrityError` -- a NACK.  The cluster
+answers a NACK the same way it answers a gap: discard the bad
+shipment, rewind the link, re-ship.  Retries are bounded by a
+:class:`RetryPolicy` (deterministic-jitter exponential backoff,
+per-link attempt budget); a link that exhausts its budget has its
+undelivered range recorded on the durable :class:`DeadLetterLedger`
+instead of hanging the writer.
 :class:`~repro.serving.chaos.ChaosTransport` wraps any transport with
 a seeded drop/duplicate/reorder/delay/corrupt schedule to prove all of
 this converges.
@@ -84,7 +86,7 @@ from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.graph.mutation import MutationBatch
-from repro.graph.storage import StoreError, verify_segment_blob
+from repro.graph.storage import StoreError, read_segment
 from repro.obs import trace
 from repro.obs.registry import get_registry
 from repro.recovery.manager import (
@@ -932,13 +934,13 @@ class ReadReplica:
         """Copy one shipped snapshot-store file into the local spool.
 
         Atomic (temp + ``os.replace``) and idempotent: redelivery
-        rewrites identical bytes.  The blob's CRC-guarded header is
-        verified *before* the bytes land: a segment corrupted in
-        transit is NACKed here instead of poisoning the local spool.
+        rewrites identical bytes.  The blob's frame (header and payload
+        CRC) is verified *before* the bytes land: a segment corrupted
+        in transit is NACKed here instead of poisoning the local spool.
         """
         file_name = shipment.meta["file"]
         try:
-            verify_segment_blob(shipment.blob, context=file_name)
+            read_segment(shipment.blob, context=file_name)
         except StoreError as exc:
             raise ShipmentIntegrityError(
                 f"replica {self.name!r} rejected store segment "
@@ -1684,12 +1686,9 @@ def replication_status(root: str) -> Dict:
             log = WriteAheadLog(wal_dir)
             next_seq = log.next_seq
             log.close()
-        ckpt_dir = os.path.join(directory, "checkpoints")
-        newest = -1
-        if os.path.isdir(ckpt_dir):
-            for entry in os.listdir(ckpt_dir):
-                if entry.startswith("ckpt-") and entry.endswith(".npz"):
-                    newest = max(newest, int(entry[5:-4]))
+        generations = RecoveryManager.list_checkpoints(
+            os.path.join(directory, "checkpoints"))
+        newest = generations[-1][0] if generations else -1
         return {
             "next_seq": max(next_seq, max(newest, 0)),
             "newest_checkpoint": newest,

@@ -790,9 +790,8 @@ def chaos_convergence_equivalence(
     together absorb every injected fault without the writer ever
     hanging.  With ``scrub=True`` the round finishes with a
     ``cluster.scrub(repair=True)`` pass and requires every report to
-    come back fully repaired (a corrupt checkpoint blob adopted in
-    place is invisible to the live engine but must not survive a
-    scrub).
+    come back fully repaired (damage at rest is invisible to the live
+    engine but must not survive a scrub).
     """
     from repro.serving.chaos import ChaosConfig, wrap_cluster
     from repro.serving.replication import ReplicationCluster

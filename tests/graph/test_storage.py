@@ -8,6 +8,7 @@ lifecycle (live refs, pins, compaction) never deletes a reachable
 snapshot.
 """
 
+import io
 import os
 
 import numpy as np
@@ -23,8 +24,10 @@ from repro.graph.storage import (
     HeapStore,
     MmapStore,
     StoreError,
+    read_frames,
     store_from_env,
     store_from_spec,
+    write_frame,
 )
 
 
@@ -132,6 +135,36 @@ class TestIntegrity:
         os.truncate(path, os.path.getsize(path) - 8)
         with pytest.raises(StoreError):
             MmapStore(str(tmp_path)).open_snapshot()
+
+    def test_open_detects_appended_frame(self, tmp_path):
+        store = MmapStore(str(tmp_path))
+        store.publish(small_graph())
+        path = self._segment_path(store)
+        with open(path, "ab") as stream:
+            write_frame(stream, np.arange(3, dtype=np.int64))
+        assert len(read_frames(path)) == 2
+        with pytest.raises(StoreError, match="holds 2 frames"):
+            MmapStore(str(tmp_path)).open_snapshot()
+
+    def test_frames_round_trip_and_reject_header_damage(self):
+        stream = io.BytesIO()
+        arrays = [np.frombuffer(b"index!!!", dtype=np.uint8),
+                  np.arange(6, dtype=np.int64).reshape(2, 3),
+                  np.linspace(0.0, 1.0, 5)]
+        for array in arrays:
+            write_frame(stream, array)
+        blob = stream.getvalue()
+        frames = read_frames(blob)
+        assert [frame.dtype for frame in frames] == ["|u1", "<i8", "<f8"]
+        for frame, array in zip(frames, arrays):
+            assert np.array_equal(frame.array, array.reshape(-1))
+        # Only 28 of the 64 header bytes carry fields; the zero padding
+        # is checked too, so no single flipped byte goes unnoticed.
+        for offset in range(64):
+            damaged = bytearray(blob)
+            damaged[offset] ^= 0x01
+            with pytest.raises(StoreError):
+                read_frames(bytes(damaged))
 
 
 class TestLifecycle:

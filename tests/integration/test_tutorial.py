@@ -125,7 +125,7 @@ class TestTutorialSteps:
     def test_step7_checkpoint(self, tmp_path):
         engine = GraphBoltEngine(factory(), num_iterations=8)
         engine.run(self.graph)
-        path = str(tmp_path / "exposure.ckpt.npz")
+        path = str(tmp_path / "exposure.ckpt")
         save_engine(engine, path)
         restored = load_engine(path, factory())
         assert np.array_equal(restored.values, engine.values)

@@ -10,6 +10,7 @@ from repro.core.engine import GraphBoltEngine
 from repro.graph.generators import rmat
 from repro.obs.registry import scoped_registry
 from repro.recovery import RecoveryError, RecoveryManager, default_poison_check
+from repro.runtime import checkpoint
 from repro.testing.faults import scoped_failpoints
 from tests.conftest import make_random_batch
 
@@ -92,6 +93,35 @@ class TestCheckpointing:
         # WAL segments below the oldest retained generation are gone.
         assert all(seq >= 5 for seq, _ in manager.wal.replay())
         manager.close()
+
+    def test_restore_reads_and_verifies_checkpoint_once(
+            self, tmp_path, graph, rng, monkeypatch):
+        live = fresh_engine(graph)
+        manager = RecoveryManager(str(tmp_path), checkpoint_every=2)
+        manager.ensure_initial_checkpoint(live)
+        for _ in range(3):
+            batch = make_random_batch(live.graph, rng, 6, 6)
+            seq = manager.log_batch(batch)
+            live.apply_mutations(batch)
+            manager.maybe_checkpoint(live, seq + 1)
+        manager.close()
+
+        reads = []
+        frame_parser = checkpoint.read_frames
+
+        def counting_parser(source, *args, **kwargs):
+            reads.append((source, kwargs.get("limit")))
+            return frame_parser(source, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint, "read_frames", counting_parser)
+        restored, seq = RecoveryManager(str(tmp_path)).restore_engine(
+            factory
+        )
+        # One full read of the newest generation (seq 2) -- engine and
+        # recovery seq both come from it -- then the WAL tail.
+        assert [limit for _, limit in reads] == [None]
+        assert seq == 3
+        assert np.array_equal(restored.values, live.values)
 
     def test_cadence(self, tmp_path, graph):
         live = fresh_engine(graph)

@@ -255,8 +255,8 @@ class TestWalScrub:
     def test_corrupt_checkpoint_is_sidelined(self, graph, tmp_path):
         drive_state_dir(graph, tmp_path)
         ckpt_dir = os.path.join(str(tmp_path), "checkpoints")
-        oldest = sorted(name for name in os.listdir(ckpt_dir)
-                        if name.endswith(".npz"))[0]
+        oldest = os.path.basename(
+            RecoveryManager.list_checkpoints(ckpt_dir)[0][1])
         flip_payload_byte(os.path.join(ckpt_dir, oldest))
         scan = IntegrityScrubber(str(tmp_path)).scan(
             write_report=False)
@@ -296,10 +296,9 @@ class TestClusterScrub:
                                                       tmp_path):
         cluster = self.build(graph, rng, tmp_path)
         replica = cluster.replicas["r0"]
-        ckpt_dir = os.path.join(replica.directory, "checkpoints")
-        victim = sorted(name for name in os.listdir(ckpt_dir)
-                        if name.endswith(".npz"))[0]
-        flip_payload_byte(os.path.join(ckpt_dir, victim))
+        victim = RecoveryManager.list_checkpoints(
+            os.path.join(replica.directory, "checkpoints"))[0][1]
+        flip_payload_byte(victim)
         # Scan-only: the damaged replica is pulled from routing.
         reports = cluster.scrub(repair=False)
         assert not reports["r0"].ok

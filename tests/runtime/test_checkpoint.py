@@ -9,12 +9,14 @@ from repro.algorithms import LabelPropagation, PageRank, SSSP
 from repro.core.engine import GraphBoltEngine
 from repro.core.pruning import PruningPolicy
 from repro.graph.generators import rmat
+from repro.graph.storage import read_frames
 from repro.ligra.engine import LigraEngine
 from repro.runtime.checkpoint import (
-    _payload_crc32,
+    _read_checkpoint,
+    _write_checkpoint,
     load_engine,
-    read_checkpoint_extra,
     save_engine,
+    verify_checkpoint_blob,
 )
 from tests.conftest import make_random_batch
 
@@ -28,7 +30,7 @@ def checkpoint_roundtrip(tmp_path, factory, graph, rng, iterations=8):
     engine = GraphBoltEngine(factory(), num_iterations=iterations)
     engine.run(graph)
     engine.apply_mutations(make_random_batch(engine.graph, rng, 10, 10))
-    path = str(tmp_path / "engine.npz")
+    path = str(tmp_path / "engine.ckpt")
     save_engine(engine, path)
     restored = load_engine(path, factory())
     return engine, restored
@@ -76,7 +78,7 @@ class TestGuards:
     def test_algorithm_mismatch_rejected(self, tmp_path, graph, rng):
         engine = GraphBoltEngine(PageRank(), num_iterations=5)
         engine.run(graph)
-        path = str(tmp_path / "engine.npz")
+        path = str(tmp_path / "engine.ckpt")
         save_engine(engine, path)
         with pytest.raises(ValueError, match="mismatch"):
             load_engine(path, LabelPropagation())
@@ -84,7 +86,7 @@ class TestGuards:
     def test_unrun_engine_rejected(self, tmp_path):
         engine = GraphBoltEngine(PageRank())
         with pytest.raises(RuntimeError):
-            save_engine(engine, str(tmp_path / "x.npz"))
+            save_engine(engine, str(tmp_path / "x.ckpt"))
 
 
 class TestAtomicWrite:
@@ -92,15 +94,17 @@ class TestAtomicWrite:
         engine = GraphBoltEngine(PageRank(), num_iterations=4)
         engine.run(graph)
         returned = save_engine(engine, str(tmp_path / "ckpt"))
-        assert returned == str(tmp_path / "ckpt.npz")
-        assert os.path.exists(returned)
+        # No suffix is appended: the returned path is the one given,
+        # and it names one regular file.
+        assert returned == str(tmp_path / "ckpt")
+        assert os.path.isfile(returned)
         restored = load_engine(returned, PageRank())
         assert np.array_equal(restored.values, engine.values)
 
     def test_no_temp_droppings(self, tmp_path, graph):
         engine = GraphBoltEngine(PageRank(), num_iterations=4)
         engine.run(graph)
-        save_engine(engine, str(tmp_path / "a.npz"))
+        save_engine(engine, str(tmp_path / "a.ckpt"))
         leftovers = [name for name in os.listdir(tmp_path)
                      if name.endswith(".tmp")]
         assert leftovers == []
@@ -108,7 +112,7 @@ class TestAtomicWrite:
     def test_overwrite_is_atomic_replace(self, tmp_path, graph, rng):
         engine = GraphBoltEngine(PageRank(), num_iterations=4)
         engine.run(graph)
-        path = str(tmp_path / "gen.npz")
+        path = str(tmp_path / "gen.ckpt")
         save_engine(engine, path)
         engine.apply_mutations(make_random_batch(engine.graph, rng, 5, 5))
         save_engine(engine, path)
@@ -118,12 +122,12 @@ class TestAtomicWrite:
     def test_extra_metadata_roundtrip(self, tmp_path, graph):
         engine = GraphBoltEngine(PageRank(), num_iterations=4)
         engine.run(graph)
-        path = save_engine(engine, str(tmp_path / "m.npz"),
+        path = save_engine(engine, str(tmp_path / "m.ckpt"),
                            extra={"recovery_seq": np.int64(42)})
-        extra = read_checkpoint_extra(path)
+        extra = {}
+        restored = load_engine(path, PageRank(), extra=extra)
         assert int(extra["recovery_seq"]) == 42
         # Extras do not leak into the engine reconstruction.
-        restored = load_engine(path, PageRank())
         assert np.array_equal(restored.values, engine.values)
 
 
@@ -131,40 +135,64 @@ def _saved_path(tmp_path, graph, rng):
     engine = GraphBoltEngine(PageRank(), num_iterations=4)
     engine.run(graph)
     engine.apply_mutations(make_random_batch(engine.graph, rng, 5, 5))
-    return save_engine(engine, str(tmp_path / "victim.npz"))
+    return save_engine(engine, str(tmp_path / "victim.ckpt"))
 
 
 def _tamper(path, mutate):
-    """Rewrite a checkpoint through ``mutate(payload_dict)``."""
-    with np.load(path, allow_pickle=False) as data:
-        payload = {key: data[key].copy() for key in data.files}
-    mutate(payload)
+    """Rewrite a checkpoint through ``mutate(index, arrays)``.  The
+    rewrite recomputes every frame CRC, so only the structural checks
+    stand between the change and the engine."""
+    with open(path, "rb") as stream:
+        index, arrays = _read_checkpoint(stream.read(), path)
+    arrays = {name: array.copy() for name, array in arrays.items()}
+    mutate(index, arrays)
     with open(path, "wb") as stream:
-        np.savez_compressed(stream, **payload)
+        _write_checkpoint(stream, index, arrays)
+
+
+def _frame_spans(path):
+    """``(header_start, payload_start, payload_end)`` of every frame."""
+    spans, offset = [], 0
+    for frame in read_frames(path):
+        spans.append((offset, offset + 64, offset + 64 + frame.array.nbytes))
+        offset = spans[-1][2]
+    return spans
+
+
+def _flip(path, offset):
+    with open(path, "r+b") as stream:
+        stream.seek(offset)
+        byte = stream.read(1)
+        stream.seek(offset)
+        stream.write(bytes([byte[0] ^ 0x01]))
+
+
+#: Where a flipped byte lands: (name, frame selector, offset in frame).
+#: Header offsets: 0 magic, 8 dtype code, 16 count, 24 CRC, 32 padding.
+_REGIONS = {
+    "index header magic": (0, lambda h, p, e: h),
+    "array header dtype": (1, lambda h, p, e: h + 8),
+    "array header count": (1, lambda h, p, e: h + 16),
+    "array header crc": (-1, lambda h, p, e: h + 24),
+    "array header padding": (-1, lambda h, p, e: h + 40),
+    "index frame": (0, lambda h, p, e: (p + e) // 2),
+    "first array frame": (1, lambda h, p, e: (p + e) // 2),
+    "last array frame": (-1, lambda h, p, e: e - 1),
+}
 
 
 class TestValidationOnLoad:
     def test_bitrot_fails_checksum(self, tmp_path, graph, rng):
         path = _saved_path(tmp_path, graph, rng)
-
-        def flip_values(payload):
-            payload["values"] = payload["values"] + 1e-3
-
-        _tamper(path, flip_values)
-        with pytest.raises(ValueError, match="checksum mismatch"):
+        _flip(path, os.path.getsize(path) // 2)
+        with pytest.raises(ValueError, match="CRC mismatch"):
             load_engine(path, PageRank())
 
     def test_out_of_range_index_rejected(self, tmp_path, graph, rng):
         path = _saved_path(tmp_path, graph, rng)
 
-        def corrupt_targets(payload):
-            payload["out_targets"] = payload["out_targets"].copy()
-            payload["out_targets"][0] = int(payload["num_vertices"]) + 5
-            refresh_crc(payload)
-
-        def refresh_crc(payload):
-            del payload["payload_crc32"]
-            payload["payload_crc32"] = np.uint32(_payload_crc32(payload))
+        def corrupt_targets(index, arrays):
+            arrays["out_targets"][0] = index["num_vertices"] + 5
 
         _tamper(path, corrupt_targets)
         with pytest.raises(ValueError,
@@ -174,11 +202,9 @@ class TestValidationOnLoad:
     def test_wrong_values_length_rejected(self, tmp_path, graph, rng):
         path = _saved_path(tmp_path, graph, rng)
 
-        def shrink_values(payload):
-            payload["values"] = payload["values"][:-3]
-            payload["prev_values"] = payload["prev_values"][:-3]
-            del payload["payload_crc32"]
-            payload["payload_crc32"] = np.uint32(_payload_crc32(payload))
+        def shrink_values(index, arrays):
+            arrays["values"] = arrays["values"][:-3]
+            arrays["prev_values"] = arrays["prev_values"][:-3]
 
         _tamper(path, shrink_values)
         with pytest.raises(ValueError, match="values length"):
@@ -187,10 +213,8 @@ class TestValidationOnLoad:
     def test_unsupported_version_rejected(self, tmp_path, graph, rng):
         path = _saved_path(tmp_path, graph, rng)
 
-        def age(payload):
-            payload["format_version"] = np.int64(1)
-            del payload["payload_crc32"]
-            payload["payload_crc32"] = np.uint32(_payload_crc32(payload))
+        def age(index, arrays):
+            index["format_version"] = 1
 
         _tamper(path, age)
         with pytest.raises(ValueError, match="version"):
@@ -205,8 +229,23 @@ class TestValidationOnLoad:
             load_engine(path, PageRank())
 
     def test_not_a_checkpoint_rejected(self, tmp_path, graph):
-        path = str(tmp_path / "other.npz")
-        np.savez(path, something=np.arange(4))
+        # A format-3 checkpoint: a zip (.npz) archive of named arrays.
+        path = str(tmp_path / "old.npz")
+        np.savez_compressed(path, format_version=np.int64(3),
+                            values=np.zeros(4))
+        with pytest.raises(ValueError, match="corrupt checkpoint.*zip"):
+            load_engine(path, PageRank())
+
+    @pytest.mark.parametrize("region", sorted(_REGIONS))
+    def test_flipped_byte_in_any_region_rejected(self, tmp_path, graph,
+                                                 rng, region):
+        path = _saved_path(tmp_path, graph, rng)
+        frame, at = _REGIONS[region]
+        _flip(path, at(*_frame_spans(path)[frame]))
+        with open(path, "rb") as stream:
+            blob = stream.read()
+        with pytest.raises(ValueError, match="corrupt checkpoint"):
+            verify_checkpoint_blob(blob, context=path)
         with pytest.raises(ValueError, match="corrupt checkpoint"):
             load_engine(path, PageRank())
 
@@ -218,7 +257,7 @@ class TestConfigurationRoundtrip:
                                  pruning=policy)
         engine.run(graph)
         engine.apply_mutations(make_random_batch(engine.graph, rng, 8, 8))
-        path = save_engine(engine, str(tmp_path / "pruned.npz"))
+        path = save_engine(engine, str(tmp_path / "pruned.ckpt"))
         restored = load_engine(path, PageRank(), pruning=policy)
         assert np.array_equal(restored.values, engine.values)
         # Oracle-style: the next refinement must agree bit-for-bit.
@@ -231,7 +270,7 @@ class TestConfigurationRoundtrip:
                                  max_iterations=200)
         engine.run(graph)
         engine.apply_mutations(make_random_batch(engine.graph, rng, 6, 6))
-        path = save_engine(engine, str(tmp_path / "conv.npz"))
+        path = save_engine(engine, str(tmp_path / "conv.ckpt"))
         restored = load_engine(path, SSSP(source=0), max_iterations=200)
         assert restored.until_convergence
         assert np.array_equal(restored.values, engine.values)
