@@ -9,10 +9,10 @@ experiment names (e.g. ``table5 figure8``).
 from __future__ import annotations
 
 import sys
-import time
 
 from repro.bench import experiments as exp
 from repro.bench.reporting import save_results
+from repro.obs import trace
 from repro.obs.registry import get_registry
 
 EXPERIMENTS = {
@@ -42,12 +42,11 @@ def main(argv) -> int:
               f"{sorted(EXPERIMENTS)}")
         return 2
     for name in names:
-        start = time.perf_counter()
-        payload = EXPERIMENTS[name]()
-        elapsed = time.perf_counter() - start
+        with trace.span("bench.experiment", experiment=name) as timed:
+            payload = EXPERIMENTS[name]()
         path = save_results(name, payload)
         print(exp.render_table(payload))
-        print(f"[{name}: {elapsed:.1f}s -> {path}]")
+        print(f"[{name}: {timed.seconds:.1f}s -> {path}]")
         print()
     # Everything the runs fed into the process-wide registry --
     # counters, gauges, latency histograms -- lands next to the tables.

@@ -17,7 +17,6 @@ methodology (section 5.1).
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,6 +49,7 @@ from repro.graph.mutation import MutationBatch
 from repro.kickstarter.engine import KickStarterEngine
 from repro.ligra.delta import DeltaEngine
 from repro.ligra.engine import LigraEngine
+from repro.obs import trace
 from repro.runtime.exec import ShardedBackend, use_backend
 from repro.runtime.metrics import EngineMetrics
 from repro.runtime.parallel import MakespanModel
@@ -219,9 +219,9 @@ def _triangle_cell(graph: CSRGraph, batches) -> Dict[str, Dict]:
         stream = StreamingGraph(current)
         stream.apply_batch(batch)
         current = stream.graph
-        start = time.perf_counter()
-        triangle_counts(current, restart_metrics)
-        restart_seconds += time.perf_counter() - start
+        with trace.span("restart") as timed:
+            triangle_counts(current, restart_metrics)
+        restart_seconds += timed.seconds
         streaming_edges.append(current)
     restart = {
         "seconds": restart_seconds,
@@ -232,10 +232,10 @@ def _triangle_cell(graph: CSRGraph, batches) -> Dict[str, Dict]:
 
     counter = IncrementalTriangleCounting(graph)
     baseline = counter.metrics.snapshot()
-    start = time.perf_counter()
-    for batch in batches:
-        counter.apply_mutations(batch)
-    seconds = time.perf_counter() - start
+    with trace.span("incremental") as timed:
+        for batch in batches:
+            counter.apply_mutations(batch)
+    seconds = timed.seconds
     delta = counter.metrics.delta_since(baseline)
     expected = triangle_counts(counter.graph)
     if expected.total != counter.total:
@@ -599,9 +599,9 @@ def experiment_figure8(
             graph, [batch],
         )
         dd = DifferentialPageRank(graph, num_iterations=iterations)
-        start = time.perf_counter()
-        dd_values = dd.apply_mutations(batch)
-        dd_seconds = time.perf_counter() - start
+        with trace.span("dataflow") as timed:
+            dd_values = dd.apply_mutations(batch)
+        dd_seconds = timed.seconds
         truth = LigraEngine(factory()).run(dd.graph, iterations)
         worst = float(np.abs(dd_values - truth).max())
         if worst > 0.05:
@@ -624,12 +624,12 @@ def experiment_figure8(
     for index in range(num_single_updates):
         batch = uniform_batch(graph, 1, delete_fraction=0.0,
                               seed=seed + 1000 + index)
-        start = time.perf_counter()
-        bolt_runner.apply(batch)
-        singles["GraphBolt"].append(time.perf_counter() - start)
-        start = time.perf_counter()
-        dd.apply_mutations(batch)
-        singles["DifferentialDataflow"].append(time.perf_counter() - start)
+        with trace.span("graphbolt") as timed:
+            bolt_runner.apply(batch)
+        singles["GraphBolt"].append(timed.seconds)
+        with trace.span("dataflow") as timed:
+            dd.apply_mutations(batch)
+        singles["DifferentialDataflow"].append(timed.seconds)
 
     def stats(samples: List[float]) -> Tuple[float, float]:
         arr = np.array(samples)
@@ -693,9 +693,9 @@ def experiment_figure9(
                                   seed=seed + batch_size)
             kick = KickStarterEngine(graph, source=source)
             kick_before = kick.metrics.snapshot()
-            start = time.perf_counter()
-            kick_values = kick.apply_mutations(batch)
-            panel_series["KickStarter"].append(time.perf_counter() - start)
+            with trace.span("kickstarter") as timed:
+                kick_values = kick.apply_mutations(batch)
+            panel_series["KickStarter"].append(timed.seconds)
             panel_edges["KickStarter"].append(
                 kick.metrics.delta_since(kick_before).edge_computations
             )
@@ -705,9 +705,9 @@ def experiment_figure9(
             )
             bolt.setup(graph)
             bolt_before = bolt.metrics.snapshot()
-            start = time.perf_counter()
-            bolt_values = bolt.apply(batch)
-            panel_series["GraphBolt"].append(time.perf_counter() - start)
+            with trace.span("graphbolt") as timed:
+                bolt_values = bolt.apply(batch)
+            panel_series["GraphBolt"].append(timed.seconds)
             panel_edges["GraphBolt"].append(
                 bolt.metrics.delta_since(bolt_before).edge_computations
             )
@@ -727,11 +727,9 @@ def experiment_figure9(
 
             if include_dataflow:
                 dd = DifferentialSSSP(graph, source=source)
-                start = time.perf_counter()
-                dd.apply_mutations(batch)
-                panel_series["DifferentialDataflow"].append(
-                    time.perf_counter() - start
-                )
+                with trace.span("dataflow") as timed:
+                    dd.apply_mutations(batch)
+                panel_series["DifferentialDataflow"].append(timed.seconds)
             row = [panel, batch_size] + [
                 round(panel_series[name][-1], 5) for name in panel_series
             ]
@@ -930,9 +928,9 @@ def experiment_ablation_tagreset(
                                     num_iterations=BENCH_ITERATIONS)
         tag_engine.run(graph)
         before = tag_engine.metrics.snapshot()
-        start = time.perf_counter()
-        tag_engine.apply_mutations(batch)
-        tag_seconds = time.perf_counter() - start
+        with trace.span("tagreset") as timed:
+            tag_engine.apply_mutations(batch)
+        tag_seconds = timed.seconds
         tag_edges = tag_engine.metrics.delta_since(
             before
         ).edge_computations
@@ -1001,22 +999,22 @@ def experiment_ablation_structure(
             old, num_vertices = result.old_graph, result.new_graph.num_vertices
             slots = StreamingGraph._edge_positions(old, result.del_src,
                                                    result.del_dst)
-            start = time.perf_counter()
-            spliced = old.spliced(num_vertices, result.add_src,
-                                  result.add_dst, result.add_weight,
-                                  result.del_src, result.del_dst, slots)
-            timings["splice"] += time.perf_counter() - start
-            start = time.perf_counter()
-            src, dst, weight = old.all_edges()
-            keep = np.ones(src.size, dtype=bool)
-            keep[slots] = False
-            rebuilt = CSRGraph(
-                num_vertices,
-                np.concatenate([src[keep], result.add_src]),
-                np.concatenate([dst[keep], result.add_dst]),
-                np.concatenate([weight[keep], result.add_weight]),
-            )
-            timings["full_sort_rebuild"] += time.perf_counter() - start
+            with trace.span("splice") as timed:
+                spliced = old.spliced(num_vertices, result.add_src,
+                                      result.add_dst, result.add_weight,
+                                      result.del_src, result.del_dst, slots)
+            timings["splice"] += timed.seconds
+            with trace.span("full_sort_rebuild") as timed:
+                src, dst, weight = old.all_edges()
+                keep = np.ones(src.size, dtype=bool)
+                keep[slots] = False
+                rebuilt = CSRGraph(
+                    num_vertices,
+                    np.concatenate([src[keep], result.add_src]),
+                    np.concatenate([dst[keep], result.add_dst]),
+                    np.concatenate([weight[keep], result.add_weight]),
+                )
+            timings["full_sort_rebuild"] += timed.seconds
             for name in ARRAY_NAMES:
                 if not np.array_equal(getattr(spliced, name),
                                       getattr(rebuilt, name)):
@@ -1068,9 +1066,9 @@ def experiment_ablation_dense_mode(
         engine.run(graph)
         batch = uniform_batch(graph, batch_size, seed=seed)
         before = metrics.snapshot()
-        start = time.perf_counter()
-        values = engine.apply_mutations(batch)
-        seconds = time.perf_counter() - start
+        with trace.span("graphbolt") as timed:
+            values = engine.apply_mutations(batch)
+        seconds = timed.seconds
         delta = metrics.delta_since(before)
         truth = LigraEngine(factory()).run(engine.graph, BENCH_ITERATIONS)
         worst = float(np.abs(values - truth).max())

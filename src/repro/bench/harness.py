@@ -20,7 +20,6 @@ the identical batch sequence.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -34,13 +33,14 @@ from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
 from repro.ligra.delta import DeltaEngine
 from repro.ligra.engine import LigraEngine
+from repro.obs import trace
 from repro.obs.registry import get_registry, ingest_engine_metrics
 from repro.runtime.exec import (
     ExecutionBackend,
     load_imbalance,
     resolve_backend,
 )
-from repro.runtime.metrics import EngineMetrics, Timer
+from repro.runtime.metrics import EngineMetrics
 
 __all__ = [
     "StreamingRunner",
@@ -89,7 +89,7 @@ class _RestartRunner(StreamingRunner):
         return self._run_snapshot()
 
     def apply(self, batch: MutationBatch) -> np.ndarray:
-        with Timer(self.metrics, "adjust_structure"):
+        with trace.span("adjust_structure", metrics=self.metrics):
             self._streaming.apply_batch(batch)
         return self._run_snapshot()
 
@@ -230,17 +230,16 @@ class StreamResult:
 def run_stream(runner: StreamingRunner, graph: CSRGraph,
                batches: Sequence[MutationBatch]) -> StreamResult:
     """Run a full stream through one runner, timing each batch."""
-    start = time.perf_counter()
-    runner.setup(graph)
-    setup_seconds = time.perf_counter() - start
-    result = StreamResult(runner=runner.name, setup_seconds=setup_seconds)
+    with trace.span("stream.setup", runner=runner.name) as timed:
+        runner.setup(graph)
+    result = StreamResult(runner=runner.name, setup_seconds=timed.seconds)
     registry = get_registry()
     values = None
     for batch in batches:
         before = runner.metrics.snapshot()
-        start = time.perf_counter()
-        values = runner.apply(batch)
-        elapsed = time.perf_counter() - start
+        with trace.span("stream.batch", runner=runner.name) as timed:
+            values = runner.apply(batch)
+        elapsed = timed.seconds
         delta = runner.metrics.delta_since(before)
         adjust = delta.phase_seconds.get("adjust_structure", 0.0)
         result.batches.append(

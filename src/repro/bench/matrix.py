@@ -34,7 +34,6 @@ import itertools
 import json
 import os
 import tempfile
-import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -45,6 +44,7 @@ from repro.graph import generators
 from repro.graph.csr import CSRGraph
 from repro.graph.mutation import MutationBatch
 from repro.graph.stream import hotspot_storm
+from repro.obs import trace
 from repro.obs.registry import peak_rss_bytes, scoped_registry
 from repro.runtime.exec import (
     ExecutionBackend,
@@ -649,33 +649,33 @@ def _execute_serving_run(config: Dict, graph: CSRGraph,
                                        rate=0.1),
             )
         per_batch: List[float] = []
-        start_all = time.perf_counter()
-        for index, batch in enumerate(batches):
-            if poison_every and (index + 1) % poison_every == 0:
-                failpoints.arm(
-                    "engine.refine", kind="fault",
-                    hit=failpoints.hit_count("engine.refine") + 1,
-                )
-            if lag_fault and index == len(batches) // 2:
-                # Planted replica lag: one delivery round is deferred
-                # (the shipment stays pending), so staleness rises and
-                # the next round drains it -- deterministic, count-based.
-                failpoints.arm(
-                    "replication.receive", kind="fault",
-                    hit=failpoints.hit_count("replication.receive") + 1,
-                )
-            start = time.perf_counter()
-            resilient.submit(batch)
+        with trace.span("matrix.cell") as cell_span:
+            for index, batch in enumerate(batches):
+                if poison_every and (index + 1) % poison_every == 0:
+                    failpoints.arm(
+                        "engine.refine", kind="fault",
+                        hit=failpoints.hit_count("engine.refine") + 1,
+                    )
+                if lag_fault and index == len(batches) // 2:
+                    # Planted replica lag: one delivery round is deferred
+                    # (the shipment stays pending), so staleness rises and
+                    # the next round drains it -- deterministic, count-based.
+                    failpoints.arm(
+                        "replication.receive", kind="fault",
+                        hit=failpoints.hit_count("replication.receive") + 1,
+                    )
+                with trace.span("matrix.batch") as timed:
+                    resilient.submit(batch)
+                    if cluster is not None:
+                        cluster.replicate()
+                        lag_max = max(lag_max, cluster.staleness())
+                per_batch.append(timed.seconds)
+            resilient.drain()
+            for wrapper in chaos_wrappers:
+                wrapper.flush()
             if cluster is not None:
-                cluster.replicate()
-                lag_max = max(lag_max, cluster.staleness())
-            per_batch.append(time.perf_counter() - start)
-        resilient.drain()
-        for wrapper in chaos_wrappers:
-            wrapper.flush()
-        if cluster is not None:
-            cluster.sync()
-        setup_seconds = time.perf_counter() - start_all
+                cluster.sync()
+        setup_seconds = cell_span.seconds
         health = resilient.health()
         work = {
             "submitted": health.submitted,

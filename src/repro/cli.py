@@ -201,16 +201,16 @@ def _select_store(args, default_root=None):
 
 
 def _replay(runner, args):
-    """Drive the batch schedule; yields per-batch measurements."""
+    """Drive the batch schedule; yields per-batch measurements (timed
+    on ``NULL_TRACER``, so a recorded ``batch`` span stays a root)."""
     for index in range(args.batches):
         batch = uniform_batch(runner.graph, args.batch_size,
                               seed=args.seed + index)
         before = runner.metrics.snapshot()
-        start = time.perf_counter()
-        values = runner.apply(batch)
-        elapsed = time.perf_counter() - start
+        with trace.NULL_TRACER.span("replay.batch") as timed:
+            values = runner.apply(batch)
         delta = runner.metrics.delta_since(before)
-        yield index, batch, values, elapsed, delta
+        yield index, batch, values, timed.seconds, delta
 
 
 def _cmd_run(args) -> int:
@@ -227,16 +227,15 @@ def _cmd_run(args) -> int:
             stack.enter_context(trace.activated(Tracer(sink=journal)))
         stdout_journal = JsonlJournal(sys.stdout) if args.json else None
 
-        start = time.perf_counter()
-        runner.setup(graph)
-        setup_seconds = time.perf_counter() - start
+        with trace.NULL_TRACER.span("replay.setup") as setup:
+            runner.setup(graph)
         header = {
             "type": "run", "engine": args.engine,
             "algorithm": args.algorithm, "graph": spec,
             "vertices": graph.num_vertices, "edges": graph.num_edges,
             "iterations": args.iterations, "seed": args.seed,
             "store": store.describe(),
-            "setup_seconds": round(setup_seconds, 6),
+            "setup_seconds": round(setup.seconds, 6),
         }
         if journal is not None:
             journal.write(header)
@@ -245,7 +244,7 @@ def _cmd_run(args) -> int:
         else:
             print(f"{args.engine} / {args.algorithm} on {spec} "
                   f"(V={graph.num_vertices}, E={graph.num_edges}); "
-                  f"initial run {setup_seconds:.3f}s")
+                  f"initial run {setup.seconds:.3f}s")
 
         rows: List[List] = []
         values = None
@@ -529,43 +528,42 @@ def _cmd_serve(args) -> int:
     for index in range(args.batches):
         batch = uniform_batch(server.graph, args.batch_size,
                               seed=args.seed + index)
-        start = time.perf_counter()
-        if resilient is None:
-            server.ingest(batch)
-        else:
-            if kill_plan is not None:
-                name, kill_at, restart_at = kill_plan
-                if index == kill_at:
-                    cluster.kill_replica(name)
-                if restart_at is not None and index == restart_at:
-                    cluster.restart_replica(name)
-            if (args.poison_every
-                    and (index + 1) % args.poison_every == 0):
-                # Plant-a-fault poison: the next refinement pass fails
-                # with a transient fault, which the durable loop
-                # quarantines -- a flapping poison source.
-                failpoints.arm(
-                    "engine.refine", kind="fault",
-                    hit=failpoints.hit_count("engine.refine") + 1,
-                )
-                poisons_planted += 1
-            pump = (not args.burst
-                    or (index + 1) % args.burst == 0)
-            resilient.submit(batch, pump=pump)
-            if (args.query_every
-                    and (index + 1) % args.query_every == 0):
-                queries_attempted += 1
-                resilient.query(deadline_s=args.deadline)
-                queries_answered += 1
-            if cluster is not None:
-                cluster.replicate()
-                observer = resilient.observer
-                if observer is not None and observer.emitter is not None:
-                    cluster.observe_replicas(observer.emitter)
-            if journal is not None:
-                resilient.record_health(journal)
-        rows.append([index, len(batch),
-                     round(time.perf_counter() - start, 4)])
+        with trace.span("serve.batch") as timed:
+            if resilient is None:
+                server.ingest(batch)
+            else:
+                if kill_plan is not None:
+                    name, kill_at, restart_at = kill_plan
+                    if index == kill_at:
+                        cluster.kill_replica(name)
+                    if restart_at is not None and index == restart_at:
+                        cluster.restart_replica(name)
+                if (args.poison_every
+                        and (index + 1) % args.poison_every == 0):
+                    # Plant-a-fault poison: the next refinement pass fails
+                    # with a transient fault, which the durable loop
+                    # quarantines -- a flapping poison source.
+                    failpoints.arm(
+                        "engine.refine", kind="fault",
+                        hit=failpoints.hit_count("engine.refine") + 1,
+                    )
+                    poisons_planted += 1
+                pump = (not args.burst
+                        or (index + 1) % args.burst == 0)
+                resilient.submit(batch, pump=pump)
+                if (args.query_every
+                        and (index + 1) % args.query_every == 0):
+                    queries_attempted += 1
+                    resilient.query(deadline_s=args.deadline)
+                    queries_answered += 1
+                if cluster is not None:
+                    cluster.replicate()
+                    observer = resilient.observer
+                    if observer is not None and observer.emitter is not None:
+                        cluster.observe_replicas(observer.emitter)
+                if journal is not None:
+                    resilient.record_health(journal)
+        rows.append([index, len(batch), round(timed.seconds, 4)])
     if resilient is not None:
         resilient.drain()
         if cluster is not None:

@@ -45,7 +45,7 @@ from repro.runtime.exec import (
     load_imbalance,
     resolve_backend,
 )
-from repro.runtime.metrics import EngineMetrics, MemoryReport, Timer
+from repro.runtime.metrics import EngineMetrics, MemoryReport
 
 __all__ = ["GraphBoltEngine"]
 
@@ -138,7 +138,8 @@ class GraphBoltEngine:
             graph = streaming.graph
         else:
             self._streaming = StreamingGraph(graph)
-        with trace.span("initial_run", engine=self.name,
+        with trace.span("initial_run", metrics=self.metrics,
+                        engine=self.name,
                         algorithm=self.algorithm.name,
                         vertices=graph.num_vertices,
                         edges=graph.num_edges):
@@ -154,33 +155,32 @@ class GraphBoltEngine:
             else self.num_iterations
         )
         tracking_stopped = self.strategy == "naive"
-        with Timer(self.metrics, "initial_run"):
-            for iteration in range(1, limit + 1):
-                if state.iteration > 0 and state.frontier.size == 0:
-                    break
-                if iteration == 1:
-                    # Adaptive pruning keys off the previous iteration's
-                    # change count, which doesn't exist yet: the first
-                    # iteration always tracks (unless the horizon is 0).
-                    track = not tracking_stopped and (
-                        self.pruning.horizon is None
-                        or self.pruning.horizon >= 1
-                    )
+        for iteration in range(1, limit + 1):
+            if state.iteration > 0 and state.frontier.size == 0:
+                break
+            if iteration == 1:
+                # Adaptive pruning keys off the previous iteration's
+                # change count, which doesn't exist yet: the first
+                # iteration always tracks (unless the horizon is 0).
+                track = not tracking_stopped and (
+                    self.pruning.horizon is None
+                    or self.pruning.horizon >= 1
+                )
+            else:
+                track = self.pruning.should_track(
+                    iteration, state.frontier.size, graph.num_vertices,
+                    tracking_stopped,
+                )
+            with trace.span("iteration", index=iteration,
+                            tracked=track):
+                if track:
+                    record = self._delta.step(graph, state,
+                                              record_changes=True)
+                    self._record(history, record, state,
+                                 graph.num_vertices)
                 else:
-                    track = self.pruning.should_track(
-                        iteration, state.frontier.size, graph.num_vertices,
-                        tracking_stopped,
-                    )
-                with trace.span("iteration", index=iteration,
-                                tracked=track):
-                    if track:
-                        record = self._delta.step(graph, state,
-                                                  record_changes=True)
-                        self._record(history, record, state,
-                                     graph.num_vertices)
-                    else:
-                        tracking_stopped = True
-                        self._delta.step(graph, state)
+                    tracking_stopped = True
+                    self._delta.step(graph, state)
         return state, history
 
     def _record(self, history, record, state, num_vertices):
@@ -201,8 +201,7 @@ class GraphBoltEngine:
                         algorithm=self.algorithm.name,
                         index=self.batches_applied,
                         mutations=len(batch)):
-            with trace.span("adjust_structure"), \
-                    Timer(self.metrics, "adjust_structure"):
+            with trace.span("adjust_structure", metrics=self.metrics):
                 mutation = self._streaming.apply_batch(batch)
             return self._apply_mutation_result(mutation)
 
@@ -279,8 +278,7 @@ class GraphBoltEngine:
             self.max_iterations if self.until_convergence
             else self.num_iterations
         )
-        with trace.span("naive_continue"), \
-                Timer(self.metrics, "naive_continue"):
+        with trace.span("naive_continue", metrics=self.metrics):
             for _ in range(limit):
                 if state.iteration > 0 and state.frontier.size == 0:
                     break

@@ -23,7 +23,6 @@ from repro.graph.csr import CSRGraph
 from repro.ligra.delta import DeltaEngine, DeltaState
 from repro.obs import trace
 from repro.runtime.deadline import Deadline
-from repro.runtime.metrics import Timer
 
 __all__ = ["hybrid_forward"]
 
@@ -52,8 +51,8 @@ def hybrid_forward(
     ``StreamingAnalyticsServer.query``).
     """
     metrics = engine.metrics
-    with trace.span("forward", start_iteration=state.iteration) as span, \
-            Timer(metrics, "hybrid"):
+    with trace.span("hybrid", metrics=metrics,
+                    start_iteration=state.iteration) as span:
         if until_convergence:
             budget = max_iterations - state.iteration
         else:

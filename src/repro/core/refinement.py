@@ -41,7 +41,7 @@ from repro.graph.mutable import MutationResult
 from repro.ligra.delta import DeltaState
 from repro.obs import trace
 from repro.runtime.exec import ExecutionBackend, resolve_backend
-from repro.runtime.metrics import EngineMetrics, Timer
+from repro.runtime.metrics import EngineMetrics
 
 __all__ = ["refine"]
 
@@ -73,10 +73,9 @@ def refine(
     refined run at the tracked horizon (ready for hybrid forward
     execution) and the refined run's own dependency history.
     """
-    with trace.span("refine", horizon=history.horizon,
+    with trace.span("refine", metrics=metrics, horizon=history.horizon,
                     additions=int(mutation.add_src.size),
-                    deletions=int(mutation.del_src.size)), \
-            Timer(metrics, "refine"):
+                    deletions=int(mutation.del_src.size)):
         return _Refiner(algorithm, mutation, history, metrics,
                         pruning, mode, dense_fraction, backend).run()
 

@@ -40,8 +40,9 @@ from repro.graph.csr import CSRGraph
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
 from repro.ligra.delta import DeltaEngine
+from repro.obs import trace
 from repro.runtime.exec import ExecutionBackend, resolve_backend
-from repro.runtime.metrics import EngineMetrics, Timer
+from repro.runtime.metrics import EngineMetrics
 
 __all__ = ["TagResetEngine"]
 
@@ -84,7 +85,7 @@ class TagResetEngine:
         self._streaming = StreamingGraph(graph)
         state = self._delta.initial_state(graph)
         history = DependencyHistory(state.values, state.aggregate)
-        with Timer(self.metrics, "initial_run"):
+        with trace.span("initial_run", metrics=self.metrics):
             for _ in range(self.num_iterations):
                 record = self._delta.step(graph, state, record_changes=True)
                 history.record(record.g_idx, record.g_values,
@@ -98,7 +99,7 @@ class TagResetEngine:
         """Tag the affected region; recompute it for every iteration."""
         if self._streaming is None:
             raise RuntimeError("call run() before applying mutations")
-        with Timer(self.metrics, "adjust_structure"):
+        with trace.span("adjust_structure", metrics=self.metrics):
             mutation = self._streaming.apply_batch(batch)
         graph = mutation.new_graph
         algorithm = self.algorithm
@@ -111,13 +112,13 @@ class TagResetEngine:
             np.arange(mutation.old_graph.num_vertices, graph.num_vertices,
                       dtype=np.int64),
         ])
-        with Timer(self.metrics, "tag"):
+        with trace.span("tag", metrics=self.metrics):
             tagged_mask = downstream_tagged(graph, seeds,
                                             max_hops=self.num_iterations)
         tagged = np.flatnonzero(tagged_mask)
         self.last_tagged = int(tagged.size)
 
-        with Timer(self.metrics, "recompute"):
+        with trace.span("recompute", metrics=self.metrics):
             values = self._recompute(graph, mutation, tagged, tagged_mask)
         self._values = values
         return values

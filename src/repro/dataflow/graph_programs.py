@@ -31,8 +31,9 @@ from repro.dataflow.operators import Dataflow
 from repro.graph.csr import CSRGraph
 from repro.graph.mutable import StreamingGraph
 from repro.graph.mutation import MutationBatch
+from repro.obs import trace
 from repro.runtime.exec import ExecutionBackend, resolve_backend
-from repro.runtime.metrics import EngineMetrics, Timer
+from repro.runtime.metrics import EngineMetrics
 
 __all__ = ["DifferentialConnectedComponents", "DifferentialPageRank",
            "DifferentialSSSP"]
@@ -53,7 +54,7 @@ class _DifferentialGraphProgram:
         self._probe = self._build(
             self._edges_in.stream, self._vertices_in.stream
         )
-        with Timer(self.metrics, "initial_run"):
+        with trace.span("initial_run", metrics=self.metrics):
             # Structural feed (never charged as edge computations); the
             # sharded backend still measures per-shard feed loads.
             src, dst, weight = self.backend.gather_all(
@@ -76,9 +77,9 @@ class _DifferentialGraphProgram:
         return self._streaming.graph
 
     def apply_mutations(self, batch: MutationBatch) -> np.ndarray:
-        with Timer(self.metrics, "adjust_structure"):
+        with trace.span("adjust_structure", metrics=self.metrics):
             mutation = self._streaming.apply_batch(batch)
-        with Timer(self.metrics, "update"):
+        with trace.span("update", metrics=self.metrics):
             self.dataflow.advance_epoch()
             diffs = []
             for u, v, w in zip(mutation.add_src.tolist(),

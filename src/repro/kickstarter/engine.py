@@ -31,7 +31,7 @@ from repro.kickstarter.trees import NO_PARENT, DependencyTree, segmented_argmin
 from repro.obs import trace
 from repro.obs.registry import get_registry
 from repro.runtime.exec import ExecutionBackend, resolve_backend
-from repro.runtime.metrics import EngineMetrics, Timer
+from repro.runtime.metrics import EngineMetrics
 
 __all__ = ["KickStarterEngine"]
 
@@ -56,9 +56,8 @@ class KickStarterEngine:
         self._streaming = StreamingGraph(graph)
         self.tree = DependencyTree(graph.num_vertices)
         self.batches_applied = 0
-        with trace.span("initial_run", engine=self.name,
-                        vertices=graph.num_vertices), \
-                Timer(self.metrics, "initial_run"):
+        with trace.span("initial_run", metrics=self.metrics,
+                        engine=self.name, vertices=graph.num_vertices):
             self.tree.values[source] = 0.0
             self._propagate(graph, np.array([source], dtype=np.int64))
 
@@ -113,18 +112,17 @@ class KickStarterEngine:
                         index=self.batches_applied,
                         mutations=len(batch)):
             self.batches_applied += 1
-            with trace.span("adjust_structure"), \
-                    Timer(self.metrics, "adjust_structure"):
+            with trace.span("adjust_structure", metrics=self.metrics):
                 mutation = self._streaming.apply_batch(batch)
             graph = mutation.new_graph
             self.tree.grow_to(graph.num_vertices)
-            with trace.span("trim") as span, Timer(self.metrics, "trim"):
+            with trace.span("trim", metrics=self.metrics) as span:
                 trimmed = self._trim_deletions(graph, mutation)
                 span.tag(trimmed=int(trimmed.size))
             get_registry().gauge("kickstarter.trimmed_vertices").set(
                 int(trimmed.size)
             )
-            with trace.span("propagate"), Timer(self.metrics, "propagate"):
+            with trace.span("propagate", metrics=self.metrics):
                 seeds = self._relax_additions(graph, mutation)
                 frontier = np.union1d(trimmed, seeds)
                 self._propagate(graph, frontier)

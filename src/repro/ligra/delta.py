@@ -32,7 +32,7 @@ from repro.ligra.frontier import VertexSubset
 from repro.ligra.interface import edge_map, edge_map_all, pull_edges
 from repro.obs import trace
 from repro.runtime.exec import ExecutionBackend, resolve_backend
-from repro.runtime.metrics import EngineMetrics, Timer
+from repro.runtime.metrics import EngineMetrics
 
 __all__ = ["DeltaEngine", "DeltaState", "StepRecord"]
 
@@ -323,9 +323,8 @@ class DeltaEngine:
             num_iterations = self.algorithm.default_iterations
         limit = max_iterations if until_convergence else num_iterations
         state = self.initial_state(graph)
-        with trace.span("compute", engine=self.name,
-                        algorithm=self.algorithm.name), \
-                Timer(self.metrics, "compute"):
+        with trace.span("compute", metrics=self.metrics, engine=self.name,
+                        algorithm=self.algorithm.name):
             for _ in range(limit):
                 with trace.span("iteration", index=state.iteration + 1,
                                 frontier=int(state.frontier.size)):

@@ -17,7 +17,7 @@ from repro.graph.csr import CSRGraph
 from repro.ligra.interface import edge_map_all
 from repro.obs import trace
 from repro.runtime.exec import ExecutionBackend, resolve_backend
-from repro.runtime.metrics import EngineMetrics, Timer
+from repro.runtime.metrics import EngineMetrics
 
 __all__ = ["LigraEngine"]
 
@@ -54,9 +54,8 @@ class LigraEngine:
         all_vertices = np.arange(graph.num_vertices, dtype=np.int64)
 
         values = algorithm.initial_values(graph)
-        with trace.span("compute", engine=self.name,
-                        algorithm=algorithm.name), \
-                Timer(self.metrics, "compute"):
+        with trace.span("compute", metrics=self.metrics, engine=self.name,
+                        algorithm=algorithm.name):
             for index in range(limit):
                 with trace.span("iteration", index=index + 1):
                     new_values = self._iterate(graph, values, all_vertices)

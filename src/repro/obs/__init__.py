@@ -2,12 +2,14 @@
 
 Cooperating pieces (see ``docs/observability.md``):
 
-- :mod:`repro.obs.trace` -- a span-based tracer.  Engines call
-  ``trace.span("refine", batch=k)`` around every phase; the installed
-  tracer records nested spans into a bounded ring buffer and an
-  optional JSONL journal.  The *default* tracer is a no-op whose spans
-  cost one function call, so instrumentation is effectively free until
-  a tracer is installed (``tests/obs/test_overhead.py`` pins <5%).
+- :mod:`repro.obs.trace` -- a span-based tracer and the one
+  stopwatch.  Engines call ``trace.span("refine", metrics=m)`` around
+  every phase; each span's clock-read pair is its ``.seconds``, feeds
+  ``m.phase_seconds`` and, when a tracer is installed, is recorded as
+  a nested span in a bounded ring buffer and an optional JSONL
+  journal.  The *default* tracer records nothing, so a span costs one
+  clock-read pair until a tracer is installed
+  (``tests/obs/test_overhead.py`` pins <5%).
 - :mod:`repro.obs.registry` -- a process-wide metrics registry
   (counters, gauges, fixed-bucket histograms).  Engines feed their
   :class:`~repro.runtime.metrics.EngineMetrics` totals and live gauges

@@ -10,7 +10,7 @@ text view used by ``repro trace``::
       adjust_structure                   2.1ms     6.0%  #
       refine  x1                        21.3ms    60.7%  ############
         iteration  x7                   21.0ms    98.6%  ...
-      forward  x1                        9.8ms    27.9%  #####
+      hybrid  x1                         9.8ms    27.9%  #####
 
 Repeated same-name siblings (iterations, most commonly) are collapsed
 into one line carrying the count and summed duration, so a 100-

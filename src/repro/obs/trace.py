@@ -1,20 +1,26 @@
-"""Span-based tracing with a zero-cost disabled path.
+"""Span-based tracing: the one stopwatch of the code base.
 
 Usage at an instrumentation site::
 
     from repro.obs import trace
 
-    with trace.span("refine", batch=3, horizon=7) as sp:
+    with trace.span("refine", metrics=metrics, batch=3, horizon=7) as sp:
         ...
         sp.tag(mode="dense")
+    sp.seconds  # the block's elapsed time
 
-``trace.span`` dispatches to the *installed* tracer.  By default that
-is :data:`NULL_TRACER`, whose ``span`` returns a shared no-op context
-manager -- the disabled cost is one method call plus the keyword dict,
-which the overhead test bounds at <5% of engine runtime even for
-per-iteration spans.  Installing a :class:`Tracer` (directly, via
-:func:`activated`, or through ``repro run --trace-out``) turns the
-same call sites into a recorded span tree.
+Every span reads the clock at entry and at exit, tracer or not; the
+difference is ``.seconds``.  ``metrics`` (an
+:class:`~repro.runtime.metrics.EngineMetrics`) receives it in
+``phase_seconds[name]``, also when the block raises, and an installed
+:class:`Tracer` records the same reading as ``start``/``duration`` --
+so the span tree and ``phase_seconds`` never disagree.  The default
+:data:`NULL_TRACER` records nothing: a span then costs one clock-read
+pair plus the keyword dict, which the overhead test bounds at <5% of
+engine runtime even for per-iteration spans.  Installing a
+:class:`Tracer` (directly, via :func:`activated`, or through
+``repro run --trace-out``) turns the same call sites into a recorded
+span tree.
 
 Recorded spans are emitted *post-order on exit* as plain dicts:
 
@@ -58,32 +64,15 @@ __all__ = [
 ]
 
 
-class _NullSpan:
-    """Shared do-nothing span handed out by the disabled tracer."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> bool:
-        return False
-
-    def tag(self, **tags) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class NullTracer:
-    """The disabled tracer: every span is the shared no-op."""
+    """The disabled tracer: spans are timed but never recorded."""
 
     enabled = False
     dropped = 0
+    _clock = time.perf_counter
 
-    def span(self, name: str, **tags) -> _NullSpan:
-        return _NULL_SPAN
+    def span(self, name: str, metrics=None, **tags) -> "Span":
+        return Span(self, name, tags, metrics)
 
     def events(self) -> List[Dict]:
         return []
@@ -99,19 +88,22 @@ NULL_TRACER = NullTracer()
 
 
 class Span:
-    """One live span; records itself into the tracer on exit."""
+    """One live span: a clock-read pair, recorded on exit when its
+    tracer is enabled."""
 
-    __slots__ = ("_tracer", "name", "tags", "id", "parent", "start",
-                 "duration")
+    __slots__ = ("_tracer", "_metrics", "name", "tags", "id", "parent",
+                 "start", "seconds")
 
-    def __init__(self, tracer: "Tracer", name: str, tags: Dict) -> None:
+    def __init__(self, tracer, name: str, tags: Dict,
+                 metrics=None) -> None:
         self._tracer = tracer
+        self._metrics = metrics
         self.name = name
         self.tags = tags
         self.id: Optional[int] = None
         self.parent: Optional[int] = None
         self.start = 0.0
-        self.duration = 0.0
+        self.seconds = 0.0
 
     def tag(self, **tags) -> None:
         """Attach tags discovered mid-span (e.g. the mode chosen)."""
@@ -119,21 +111,25 @@ class Span:
 
     def __enter__(self) -> "Span":
         tracer = self._tracer
-        self.id = tracer._next_id
-        tracer._next_id += 1
-        stack = tracer._stack
-        self.parent = stack[-1] if stack else None
-        stack.append(self.id)
+        if tracer.enabled:
+            self.id = tracer._next_id
+            tracer._next_id += 1
+            stack = tracer._stack
+            self.parent = stack[-1] if stack else None
+            stack.append(self.id)
         self.start = tracer._clock()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         tracer = self._tracer
-        self.duration = tracer._clock() - self.start
-        tracer._stack.pop()
-        if exc_type is not None:
-            self.tags["error"] = exc_type.__name__
-        tracer._finish(self)
+        self.seconds = tracer._clock() - self.start
+        if self._metrics is not None:
+            self._metrics.add_phase_time(self.name, self.seconds)
+        if tracer.enabled:
+            tracer._stack.pop()
+            if exc_type is not None:
+                self.tags["error"] = exc_type.__name__
+            tracer._finish(self)
         return False
 
 
@@ -159,8 +155,8 @@ class Tracer:
         self._clock = lambda: self._raw_clock() - self._epoch
         self.dropped = 0
 
-    def span(self, name: str, **tags) -> Span:
-        return Span(self, name, tags)
+    def span(self, name: str, metrics=None, **tags) -> Span:
+        return Span(self, name, tags, metrics)
 
     def _finish(self, span: Span) -> None:
         record = {
@@ -169,7 +165,7 @@ class Tracer:
             "parent": span.parent,
             "name": span.name,
             "start": span.start,
-            "duration": span.duration,
+            "duration": span.seconds,
             "tags": span.tags,
         }
         if (self._buffer.maxlen is not None
@@ -216,9 +212,10 @@ class Tracer:
 _ACTIVE = NULL_TRACER
 
 
-def span(name: str, **tags):
-    """Open a span on the installed tracer (no-op when disabled)."""
-    return _ACTIVE.span(name, **tags)
+def span(name: str, metrics=None, **tags) -> Span:
+    """Open a span on the installed tracer (timed but unrecorded when
+    disabled); ``metrics`` receives its seconds as a phase."""
+    return Span(_ACTIVE, name, tags, metrics)
 
 
 def enabled() -> bool:

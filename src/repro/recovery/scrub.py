@@ -195,10 +195,19 @@ class IntegrityScrubber:
     # Scanning
     # ------------------------------------------------------------------
     def scan(self, write_report: bool = True) -> ScrubReport:
+        report, _groups = self._scan()
+        if write_report:
+            self.write_report(report)
+        return report
+
+    def _scan(self) -> Tuple[ScrubReport, List[_StoreGroup]]:
+        """One pass over every artifact; the store groups it found are
+        returned for :meth:`repair` to reuse."""
         report = ScrubReport(root=self.state_dir)
         self._scan_wal(report)
-        self._scan_checkpoints(report)
-        for group in self._store_groups(report):
+        references = self._scan_checkpoints(report)
+        groups = self._store_groups(report, references)
+        for group in groups:
             self._scan_store_group(report, group)
         registry = get_registry()
         registry.counter("scrub.segments_checked").inc(
@@ -208,9 +217,7 @@ class IntegrityScrubber:
             registry.counter("scrub.corruption_found").inc(
                 len(report.findings)
             )
-        if write_report:
-            self.write_report(report)
-        return report
+        return report, groups
 
     def _wal_segments(self) -> List[Tuple[int, str]]:
         if not os.path.isdir(self.wal_dir):
@@ -256,20 +263,34 @@ class IntegrityScrubber:
     def _checkpoints(self) -> List[Tuple[int, str]]:
         return RecoveryManager.list_checkpoints(self.ckpt_dir)
 
-    def _scan_checkpoints(self, report: ScrubReport) -> None:
+    def _scan_checkpoints(self, report: ScrubReport) -> List[dict]:
+        """Verify every checkpoint, reading each once; returns the
+        store manifest references they record."""
         checkpoints = self._checkpoints()
         report.checked["checkpoints"] = len(checkpoints)
+        references = []
         for seq, path in checkpoints:
+            with open(path, "rb") as stream:
+                blob = stream.read()
             try:
-                with open(path, "rb") as stream:
-                    verify_checkpoint_blob(stream.read(), context=path)
+                reference = verify_checkpoint_blob(blob, context=path)
             except ValueError as exc:
                 report.findings.append(ScrubFinding(
                     kind="checkpoint", path=path, first_seq=seq,
                     detail=f"checkpoint payload verification failed: {exc}",
                 ))
+                # Damage past an intact index frame still names the
+                # snapshot; its segments are scanned all the same.
+                try:
+                    reference = read_store_manifest(blob, path)
+                except ValueError:
+                    continue
+            if reference is not None:
+                references.append(reference)
+        return references
 
-    def _store_groups(self, report: ScrubReport) -> List[_StoreGroup]:
+    def _store_groups(self, report: ScrubReport,
+                      references: List[dict]) -> List[_StoreGroup]:
         groups: Dict[Tuple[str, str], _StoreGroup] = {}
         roots = []
         if self.store_root is not None:
@@ -277,13 +298,7 @@ class IntegrityScrubber:
         # Manifest-mode checkpoints name the snapshots they depend on;
         # resolve them against store_root when given (replica spools
         # hold *copies* -- the recorded root is the writer's).
-        for _seq, path in self._checkpoints():
-            try:
-                reference = read_store_manifest(path)
-            except ValueError:
-                continue  # already reported by _scan_checkpoints
-            if reference is None:
-                continue
+        for reference in references:
             root = self.store_root or reference["root"]
             key = (os.path.abspath(root), reference["snapshot"])
             groups.setdefault(key, _StoreGroup(
@@ -356,8 +371,8 @@ class IntegrityScrubber:
         what happened; :attr:`ScrubReport.repaired` is the "everything
         healed" bit the CLI turns into an exit code.
         """
-        report = self.scan(write_report=False)
-        self._repair_stores(report)
+        report, groups = self._scan()
+        self._repair_stores(report, groups)
         self._repair_wal(report)
         self._repair_checkpoints(report)
         healed = sum(1 for finding in report.findings if finding.repaired)
@@ -366,12 +381,11 @@ class IntegrityScrubber:
         self.write_report(report)
         return report
 
-    def _repair_stores(self, report: ScrubReport) -> None:
+    def _repair_stores(self, report: ScrubReport,
+                       groups: List[_StoreGroup]) -> None:
         store_findings: Dict[Tuple[str, str], List[ScrubFinding]] = {}
-        groups = {
-            (os.path.abspath(group.root), group.snapshot): group
-            for group in self._store_groups(ScrubReport(root=self.state_dir))
-        }
+        by_key = {(os.path.abspath(group.root), group.snapshot): group
+                  for group in groups}
         for finding in report.findings:
             if finding.kind == "store" and finding.snapshot is not None:
                 root = os.path.abspath(os.path.dirname(finding.path))
@@ -379,7 +393,7 @@ class IntegrityScrubber:
                     (root, finding.snapshot), []
                 ).append(finding)
         for key, findings in sorted(store_findings.items()):
-            group = groups.get(key)
+            group = by_key.get(key)
             if group is None:
                 continue
             self._repair_store_group(group, findings)

@@ -11,7 +11,7 @@ from repro.runtime.exec import (
     set_backend,
     use_backend,
 )
-from repro.runtime.metrics import EngineMetrics, MemoryReport, Timer
+from repro.runtime.metrics import EngineMetrics, MemoryReport
 from repro.runtime.parallel import (
     MakespanModel,
     ParallelModel,
@@ -27,7 +27,6 @@ __all__ = [
     "PartitionedCSR",
     "SerialBackend",
     "ShardedBackend",
-    "Timer",
     "get_backend",
     "load_imbalance",
     "lpt_makespan",

@@ -262,7 +262,8 @@ def _read_checkpoint(source, context: str,
     return index, arrays
 
 
-def verify_checkpoint_blob(blob: bytes, context: str = "<blob>") -> None:
+def verify_checkpoint_blob(blob: bytes,
+                           context: str = "<blob>") -> Optional[dict]:
     """Run the full payload verification on checkpoint bytes *before*
     they land anywhere.
 
@@ -270,9 +271,13 @@ def verify_checkpoint_blob(blob: bytes, context: str = "<blob>") -> None:
     corrupted in transit must be rejected at receive time, never
     adopted onto a replica's disk where a later reload would silently
     fall back past it.  Raises :class:`ValueError` on any damage --
-    a frame header, a frame CRC, or a structural violation.
+    a frame header, a frame CRC, or a structural violation.  Returns
+    the verified store manifest reference, as
+    :func:`read_store_manifest` does.
     """
-    _verify_payload(*_read_checkpoint(blob, context), context)
+    index, data = _read_checkpoint(blob, context)
+    _verify_payload(index, data, context)
+    return _store_reference(index)
 
 
 def _check_index_array(name: str, arr: np.ndarray,
@@ -313,7 +318,10 @@ def _verify_canonical_arrays(data, num_vertices: int) -> None:
              "in_weights does not match in_sources")
 
 
-def _store_reference(index: dict) -> dict:
+def _store_reference(index: dict) -> Optional[dict]:
+    """The index's store manifest reference (``None`` when inline)."""
+    if index.get("graph_mode") != "manifest":
+        return None
     reference = index.get("store_manifest")
     _require(isinstance(reference, dict),
              "manifest payload has no store reference")
@@ -457,14 +465,12 @@ def load_engine(
     return engine
 
 
-def read_store_manifest(path: str) -> Optional[dict]:
-    """The store manifest reference a checkpoint records, or ``None``.
+def read_store_manifest(blob: bytes, context: str) -> Optional[dict]:
+    """The store manifest reference a checkpoint's bytes record, or
+    ``None`` for an inline payload.
 
     Replication uses this to discover which snapshot-store segment
     files a manifest-mode checkpoint depends on, so they can be
     shipped to replicas ahead of the checkpoint itself.  Only the
-    (CRC-verified) index frame is read."""
-    index, _ = _read_checkpoint(path, path, limit=1)
-    if index.get("graph_mode") != "manifest":
-        return None
-    return _store_reference(index)
+    (CRC-verified) index frame is parsed."""
+    return _store_reference(_read_checkpoint(blob, context, limit=1)[0])

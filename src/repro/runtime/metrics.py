@@ -17,11 +17,10 @@ one integer addition per kernel call, not per edge.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, fields
-from typing import Dict, Optional
+from typing import Dict
 
-__all__ = ["EngineMetrics", "MemoryReport", "Timer"]
+__all__ = ["EngineMetrics", "MemoryReport"]
 
 
 @dataclass
@@ -116,29 +115,3 @@ class MemoryReport:
     @property
     def overhead_percent(self) -> float:
         return 100.0 * self.overhead_fraction
-
-
-class Timer:
-    """Context-manager stopwatch feeding :class:`EngineMetrics` phases.
-
-    >>> metrics = EngineMetrics()
-    >>> with Timer(metrics, "refine"):
-    ...     pass
-    >>> "refine" in metrics.phase_seconds
-    True
-    """
-
-    def __init__(self, metrics: Optional[EngineMetrics], phase: str) -> None:
-        self._metrics = metrics
-        self._phase = phase
-        self._start = 0.0
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.elapsed = time.perf_counter() - self._start
-        if self._metrics is not None:
-            self._metrics.add_phase_time(self._phase, self.elapsed)

@@ -134,10 +134,9 @@ class ServingObserver:
     ) -> List[Alert]:
         """One applied batch: wide event + SLO tick.
 
-        ``seconds`` is the admission layer's measured apply time;
-        the sample fed to the evaluator is the engine's own
-        ``last_ingest_seconds`` (or the planted value), so SLOs see
-        engine latency, not queue bookkeeping.
+        ``seconds`` is the batch's apply time, the server's
+        ``last_ingest_seconds``; the sample fed to the evaluator is
+        that value or the planted one.
         """
         index = self.batches_observed
         self.batches_observed += 1

@@ -528,6 +528,14 @@ class DeadLetterLedger:
 # ----------------------------------------------------------------------
 # The writer role
 # ----------------------------------------------------------------------
+def _read_once(path: str, reads: Dict[str, bytes]) -> bytes:
+    """``path``'s bytes, read at most once per ship round."""
+    if path not in reads:
+        with open(path, "rb") as stream:
+            reads[path] = stream.read()
+    return reads[path]
+
+
 @dataclass
 class _Link:
     name: str
@@ -590,10 +598,14 @@ class ReplicationWriter:
         return link.next_to_ship if link is not None else 0
 
     def ship(self) -> int:
-        """Ship everything new to every link; returns shipments sent."""
+        """Ship everything new to every link; returns shipments sent.
+
+        Each checkpoint and store segment file is read once per round;
+        every link is handed the same bytes."""
+        reads: Dict[str, bytes] = {}
         sent = 0
         for name in sorted(self._links):
-            sent += self._ship_link(self._links[name])
+            sent += self._ship_link(self._links[name], reads)
         return sent
 
     def resync(self, name: str, from_seq: int) -> int:
@@ -613,10 +625,10 @@ class ReplicationWriter:
         link.store_shipped.clear()
         self.resyncs += 1
         get_registry().counter("replication.resyncs").inc()
-        return self._ship_link(link)
+        return self._ship_link(link, {})
 
     # ------------------------------------------------------------------
-    def _ship_link(self, link: _Link) -> int:
+    def _ship_link(self, link: _Link, reads: Dict[str, bytes]) -> int:
         manager = self.manager
         sealed = manager.sealed_segments()  # gap-checked
         generations = manager.checkpoints()
@@ -635,7 +647,7 @@ class ReplicationWriter:
             behind = [generation for generation in generations
                       if generation[0] <= link.next_to_ship]
             base = behind[-1] if behind else newest
-            sent += self._ship_checkpoint(link, base[0], base[1])
+            sent += self._ship_checkpoint(link, base[0], base[1], reads)
             link.next_to_ship = max(link.next_to_ship, base[0])
         earliest = (sealed[0].first_seq if sealed
                     else (newest[0] if newest else 0))
@@ -643,7 +655,8 @@ class ReplicationWriter:
                 and newest[0] > link.checkpoint_shipped):
             # The history below the earliest sealed segment was GC'd:
             # the replica can only heal by adopting a checkpoint.
-            sent += self._ship_checkpoint(link, newest[0], newest[1])
+            sent += self._ship_checkpoint(link, newest[0], newest[1],
+                                          reads)
             link.next_to_ship = max(link.next_to_ship, newest[0])
         for segment in sealed:
             if segment.end_seq <= link.next_to_ship:
@@ -657,7 +670,8 @@ class ReplicationWriter:
                 and newest[0] <= link.next_to_ship):
             # Periodic checkpoint the replica adopts in place, so its
             # own restart never replays the whole history.
-            sent += self._ship_checkpoint(link, newest[0], newest[1])
+            sent += self._ship_checkpoint(link, newest[0], newest[1],
+                                          reads)
         return sent
 
     def _ship_segment(self, link: _Link, segment: SealedSegment,
@@ -674,10 +688,10 @@ class ReplicationWriter:
         )
         return self._send(link, shipment, "replication.segments_shipped")
 
-    def _ship_checkpoint(self, link: _Link, seq: int, path: str) -> int:
-        sent = self._ship_store_segments(link, seq, path)
-        with open(path, "rb") as stream:
-            blob = stream.read()
+    def _ship_checkpoint(self, link: _Link, seq: int, path: str,
+                         reads: Dict[str, bytes]) -> int:
+        blob = _read_once(path, reads)
+        sent = self._ship_store_segments(link, seq, path, blob, reads)
         shipment = Shipment(
             kind="checkpoint", epoch=self.epoch, index=link.sent,
             first_seq=seq, end_seq=seq, blob=blob,
@@ -687,8 +701,8 @@ class ReplicationWriter:
         return sent + self._send(link, shipment,
                                  "replication.checkpoints_shipped")
 
-    def _ship_store_segments(self, link: _Link, seq: int,
-                             path: str) -> int:
+    def _ship_store_segments(self, link: _Link, seq: int, path: str,
+                             blob: bytes, reads: Dict[str, bytes]) -> int:
         """Ship the snapshot-store files a manifest-mode checkpoint
         references, ahead of the checkpoint itself.
 
@@ -699,7 +713,7 @@ class ReplicationWriter:
         batch, so ids never mutate in place).
         """
         try:
-            reference = read_store_manifest(path)
+            reference = read_store_manifest(blob, path)
         except ValueError:
             return 0  # a corrupt checkpoint is rejected on the replica
         if reference is None:  # inline payload: arrays travel inside
@@ -711,11 +725,10 @@ class ReplicationWriter:
         root = reference["root"]
         for name in sorted(reference["arrays"]):
             file_name = reference["arrays"][name]["file"]
-            with open(os.path.join(root, file_name), "rb") as stream:
-                blob = stream.read()
             shipment = Shipment(
                 kind="store", epoch=self.epoch, index=link.sent,
-                first_seq=seq, end_seq=seq, blob=blob,
+                first_seq=seq, end_seq=seq,
+                blob=_read_once(os.path.join(root, file_name), reads),
                 meta={"snapshot": snapshot, "file": file_name},
             )
             sent += self._send(link, shipment,

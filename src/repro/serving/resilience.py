@@ -47,7 +47,6 @@ sleep-and-hope.
 from __future__ import annotations
 
 import json
-import time
 from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Callable, Deque, List, Optional, Tuple
@@ -578,7 +577,6 @@ class ResilientAnalyticsServer:
         # Mark the span-id sequence before applying so the observer can
         # pick this batch's slowest span as its trace exemplar.
         mark = trace.get_tracer().mark()
-        start = time.perf_counter()
         try:
             server.ingest(batch, logged_seq=seq)
         finally:
@@ -586,7 +584,7 @@ class ResilientAnalyticsServer:
             # restore the window on whichever engine is now live.
             if probe and degraded_window is not None:
                 server.engine.num_iterations = saved_window
-        elapsed = time.perf_counter() - start
+        elapsed = server.last_ingest_seconds
         self.applied += 1
         self._resolved_constituents += constituents
         ok = server.batches_quarantined == quarantines_before

@@ -33,7 +33,6 @@ propagates to the caller.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -191,21 +190,22 @@ class StreamingAnalyticsServer:
         queued batches survive a crash); pass its sequence number to
         skip the duplicate append.
         """
-        start = time.perf_counter()
-        registry = get_registry()
+        # The span covers the periodic checkpoint too: that is the
+        # latency a caller waits for.
         with trace.span("ingest", loop="main",
                         index=self.batches_ingested,
-                        mutations=len(batch)):
+                        mutations=len(batch)) as span:
             if self.recovery is None:
                 faults.hit("engine.refine")
                 values = self.engine.apply_mutations(batch)
             else:
                 values = self._ingest_durable(batch, logged_seq)
-        self.batches_ingested += 1
-        if self.recovery is not None:
-            self.recovery.maybe_checkpoint(self.engine,
-                                           self.batches_ingested)
-        self.last_ingest_seconds = time.perf_counter() - start
+            self.batches_ingested += 1
+            if self.recovery is not None:
+                self.recovery.maybe_checkpoint(self.engine,
+                                               self.batches_ingested)
+        self.last_ingest_seconds = span.seconds
+        registry = get_registry()
         registry.histogram("serving.ingest_seconds").observe(
             self.last_ingest_seconds
         )
@@ -284,13 +284,12 @@ class StreamingAnalyticsServer:
             deadline = WallClockDeadline(deadline_s)
         if deadline is not None:
             faults.hit("query.deadline")
-        start = time.perf_counter()
-        metrics = EngineMetrics()
-        branch_engine = DeltaEngine(self.algorithm_factory(), metrics,
-                                    backend=self.engine.backend)
-        state = self.engine._state.copy()
         with trace.span("query", loop="branch",
                         index=self.queries_served) as span:
+            metrics = EngineMetrics()
+            branch_engine = DeltaEngine(self.algorithm_factory(), metrics,
+                                        backend=self.engine.backend)
+            state = self.engine._state.copy()
             hybrid_forward(
                 branch_engine, self.engine.graph, state,
                 total_iterations=self.exact_iterations,
@@ -311,9 +310,9 @@ class StreamingAnalyticsServer:
             )
             span.tag(iterations=state.iteration, degraded=degraded)
         self.queries_served += 1
-        # One measurement: the recorded histogram and the reported
-        # latency must agree.
-        seconds = time.perf_counter() - start
+        # One measurement: the span, the recorded histogram and the
+        # reported latency agree.
+        seconds = span.seconds
         self.last_query_seconds = seconds
         registry = get_registry()
         registry.histogram("serving.query_seconds").observe(seconds)

@@ -32,12 +32,12 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.obs import trace
 from repro.obs.registry import get_registry, scoped_registry
 from repro.recovery.manager import RecoveryManager
 from repro.serving.server import StreamingAnalyticsServer
@@ -271,38 +271,38 @@ def run_crash_fuzz(
 ) -> CrashFuzzOutcome:
     """A seeded campaign of kill-and-recover rounds; see module doc."""
     outcome = CrashFuzzOutcome()
-    start = time.perf_counter()
-    for index in range(rounds):
-        round_seed = seed + index
-        workload = generate_workload(
-            round_seed, algorithms=algorithms,
-            max_vertices=max_vertices, max_batches=max_batches,
-        )
-        rng = np.random.default_rng((round_seed, 0xC4A5))
-        site, hit = _choose_site_and_hit(rng, len(workload.schedule))
-        state_dir = tempfile.mkdtemp(prefix=f"crash-fuzz-{round_seed}-")
-        round_ = crash_recovery_equivalence(
-            workload, site, hit, state_dir,
-            checkpoint_every=checkpoint_every,
-        )
-        outcome.rounds.append(round_)
-        emit(f"[{index + 1}/{rounds}] {round_.summary()}")
-        if round_.ok:
-            shutil.rmtree(state_dir, ignore_errors=True)
-        elif artifacts_dir is not None:
-            os.makedirs(artifacts_dir, exist_ok=True)
-            kept = os.path.join(artifacts_dir,
-                                f"state-seed{round_seed}")
-            shutil.move(state_dir, kept)
-            hint = (f"--seed {round_seed} --rounds 1 "
-                    f"--checkpoint-every {checkpoint_every}")
-            repro = _write_repro(artifacts_dir, round_, hint)
-            outcome.artifacts.extend([kept, repro])
-            emit(f"    WAL + state kept -> {kept}")
-            emit(f"    repro -> {repro}")
-        else:
-            shutil.rmtree(state_dir, ignore_errors=True)
-    outcome.elapsed_seconds = time.perf_counter() - start
+    with trace.span("crash_fuzz.campaign") as campaign:
+        for index in range(rounds):
+            round_seed = seed + index
+            workload = generate_workload(
+                round_seed, algorithms=algorithms,
+                max_vertices=max_vertices, max_batches=max_batches,
+            )
+            rng = np.random.default_rng((round_seed, 0xC4A5))
+            site, hit = _choose_site_and_hit(rng, len(workload.schedule))
+            state_dir = tempfile.mkdtemp(prefix=f"crash-fuzz-{round_seed}-")
+            round_ = crash_recovery_equivalence(
+                workload, site, hit, state_dir,
+                checkpoint_every=checkpoint_every,
+            )
+            outcome.rounds.append(round_)
+            emit(f"[{index + 1}/{rounds}] {round_.summary()}")
+            if round_.ok:
+                shutil.rmtree(state_dir, ignore_errors=True)
+            elif artifacts_dir is not None:
+                os.makedirs(artifacts_dir, exist_ok=True)
+                kept = os.path.join(artifacts_dir,
+                                    f"state-seed{round_seed}")
+                shutil.move(state_dir, kept)
+                hint = (f"--seed {round_seed} --rounds 1 "
+                        f"--checkpoint-every {checkpoint_every}")
+                repro = _write_repro(artifacts_dir, round_, hint)
+                outcome.artifacts.extend([kept, repro])
+                emit(f"    WAL + state kept -> {kept}")
+                emit(f"    repro -> {repro}")
+            else:
+                shutil.rmtree(state_dir, ignore_errors=True)
+    outcome.elapsed_seconds = campaign.seconds
     emit(
         f"crash fuzz: {len(outcome.rounds)} round(s), "
         f"{outcome.crashes_injected} crash(es) injected, "

@@ -15,11 +15,11 @@ rather than passing vacuously.
 from __future__ import annotations
 
 import re
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 from repro.obs import JsonlJournal, Tracer, trace
+from repro.runtime.deadline import WallClockDeadline
 from repro.testing.oracle import WorkloadReport, check_workload
 from repro.testing.shrinker import shrink, to_pytest
 from repro.testing.workloads import Workload, generate_workload
@@ -95,76 +95,75 @@ def run_fuzz(
     dump is reproducible alongside the emitted pytest repro.
     """
     outcome = FuzzOutcome()
-    start = time.perf_counter()
+    deadline = (WallClockDeadline(budget_seconds)
+                if budget_seconds is not None else None)
     journal = (JsonlJournal.open(trace_path) if trace_path is not None
                else None)
-
-    for index in range(workloads):
-        if budget_seconds is not None:
-            if time.perf_counter() - start >= budget_seconds:
+    with trace.span("fuzz.campaign") as campaign:
+        for index in range(workloads):
+            if deadline is not None and deadline.expired():
                 outcome.budget_exhausted = True
                 emit(f"budget exhausted after {outcome.workloads_run} "
                      f"workload(s)")
                 break
-        workload = generate_workload(
-            seed + index,
-            algorithms=algorithms,
-            max_vertices=max_vertices,
-            max_batches=max_batches,
-        )
-        tick = time.perf_counter()
-        report = check_workload(workload, engines=engines,
-                                include_naive=plant_bug)
-        seconds = time.perf_counter() - tick
-        outcome.workloads_run += 1
-        status = "OK" if report.ok else "DIVERGED"
-        emit(f"[{index + 1}/{workloads}] {report.summary()} "
-             f"({seconds:.2f}s) {status}")
-        if report.ok:
-            continue
+            workload = generate_workload(
+                seed + index,
+                algorithms=algorithms,
+                max_vertices=max_vertices,
+                max_batches=max_batches,
+            )
+            with trace.span("fuzz.workload") as timed:
+                report = check_workload(workload, engines=engines,
+                                        include_naive=plant_bug)
+            outcome.workloads_run += 1
+            status = "OK" if report.ok else "DIVERGED"
+            emit(f"[{index + 1}/{workloads}] {report.summary()} "
+                 f"({timed.seconds:.2f}s) {status}")
+            if report.ok:
+                continue
 
-        outcome.failures.append(report)
-        for divergence in report.divergences:
-            emit(f"    {divergence}")
-        if not do_shrink:
+            outcome.failures.append(report)
+            for divergence in report.divergences:
+                emit(f"    {divergence}")
+            if not do_shrink:
+                if journal is not None:
+                    _journal_failure(journal, workload, seed + index,
+                                     report, engines, plant_bug)
+                    emit(f"    trace dump -> {trace_path}")
+                continue
+
+            def is_failing(candidate: Workload) -> bool:
+                return not check_workload(
+                    candidate, engines=engines, include_naive=plant_bug,
+                    stop_at_first=True,
+                ).ok
+
+            result = shrink(workload, is_failing, max_checks=shrink_checks)
+            outcome.shrunk.append(result.workload)
             if journal is not None:
-                _journal_failure(journal, workload, seed + index,
+                _journal_failure(journal, result.workload, seed + index,
                                  report, engines, plant_bug)
                 emit(f"    trace dump -> {trace_path}")
-            continue
+            emit(
+                f"    shrunk to V={result.workload.num_vertices}, "
+                f"E={len(result.workload.edges)}, "
+                f"batches={len(result.workload.schedule)}, "
+                f"mutations={result.workload.total_mutations()} "
+                f"({result.checks} oracle checks"
+                + (", budget exhausted)" if result.exhausted else ")")
+            )
+            repro = to_pytest(result.workload, engines=engines,
+                              include_naive=plant_bug,
+                              expect_divergence=plant_bug)
+            outcome.repros.append(repro)
+            emit("    --- pytest repro " + "-" * 44)
+            for line in repro.splitlines():
+                emit("    " + line)
+            emit("    " + "-" * 61)
 
-        def is_failing(candidate: Workload) -> bool:
-            return not check_workload(
-                candidate, engines=engines, include_naive=plant_bug,
-                stop_at_first=True,
-            ).ok
-
-        result = shrink(workload, is_failing, max_checks=shrink_checks)
-        outcome.shrunk.append(result.workload)
         if journal is not None:
-            _journal_failure(journal, result.workload, seed + index,
-                             report, engines, plant_bug)
-            emit(f"    trace dump -> {trace_path}")
-        emit(
-            f"    shrunk to V={result.workload.num_vertices}, "
-            f"E={len(result.workload.edges)}, "
-            f"batches={len(result.workload.schedule)}, "
-            f"mutations={result.workload.total_mutations()} "
-            f"({result.checks} oracle checks"
-            + (", budget exhausted)" if result.exhausted else ")")
-        )
-        repro = to_pytest(result.workload, engines=engines,
-                          include_naive=plant_bug,
-                          expect_divergence=plant_bug)
-        outcome.repros.append(repro)
-        emit("    --- pytest repro " + "-" * 44)
-        for line in repro.splitlines():
-            emit("    " + line)
-        emit("    " + "-" * 61)
-
-    if journal is not None:
-        journal.close()
-    outcome.elapsed_seconds = time.perf_counter() - start
+            journal.close()
+    outcome.elapsed_seconds = campaign.seconds
     if plant_bug:
         caught = any(
             divergence.engine == "naive"

@@ -2,7 +2,10 @@
 
 import numpy as np
 
+import pytest
+
 from repro import GraphBoltEngine, MutationBatch, PageRank, rmat
+from repro.bench.harness import DeltaRunner, LigraRunner
 from repro.kickstarter.engine import KickStarterEngine
 from repro.ligra.engine import LigraEngine
 from repro.obs import trace
@@ -47,7 +50,7 @@ class TestGraphBoltSpans:
             phases = [child["name"] for child in root["children"]]
             assert "adjust_structure" in phases
             assert "refine" in phases
-            assert "forward" in phases
+            assert "hybrid" in phases
 
     def test_refine_iterations_tag_mode(self):
         events = run_graphbolt(Tracer())
@@ -73,7 +76,7 @@ class TestGraphBoltSpans:
         assert len(batch_entries) == 2
         for entry in batch_entries:
             names = {phase["name"] for phase in entry["phases"]}
-            assert {"refine", "forward"} <= names
+            assert {"refine", "hybrid"} <= names
 
     def test_gauges_published(self):
         with scoped_registry() as registry:
@@ -109,3 +112,64 @@ class TestOtherEngines:
             names = [child["name"] for child in root["children"]]
             assert "trim" in names
             assert "propagate" in names
+
+
+class TestPhasesAreSpans:
+    """``phase_seconds`` and the span tree are one measurement: each
+    phase is the sum of that batch's same-named span durations."""
+
+    def engines(self):
+        graph = rmat(scale=7, edge_factor=4, seed=1, weighted=True)
+
+        def graphbolt():
+            engine = GraphBoltEngine(PageRank(), num_iterations=6)
+            engine.run(graph)
+            return engine, engine.apply_mutations
+
+        def restart(runner_cls):
+            runner = runner_cls(PageRank, 6)
+            runner.setup(graph)
+            return runner, runner.apply
+
+        def kickstarter():
+            engine = KickStarterEngine(graph, source=0)
+            return engine, engine.apply_mutations
+
+        return graph, {
+            "GraphBolt": graphbolt,
+            "Ligra": lambda: restart(LigraRunner),
+            "GB-Reset": lambda: restart(DeltaRunner),
+            "KickStarter": kickstarter,
+        }
+
+    @pytest.mark.parametrize("name", ["GraphBolt", "Ligra", "GB-Reset",
+                                      "KickStarter"])
+    def test_phase_seconds_equal_span_durations(self, name):
+        graph, builders = self.engines()
+        tracer = Tracer()
+        with trace.activated(tracer):
+            owner, apply = builders[name]()
+            for batch in mutation_batches(graph, 2, size=10):
+                owner.metrics.reset()
+                tracer.clear()
+                apply(batch)
+                phases = owner.metrics.phase_seconds
+                assert phases
+                events = tracer.events()
+                for phase, seconds in phases.items():
+                    spans = [event["duration"] for event in events
+                             if event["name"] == phase]
+                    assert spans, phase
+                    assert seconds == sum(spans), phase
+
+    def test_phase_seconds_without_a_tracer(self):
+        assert not trace.enabled()
+        graph = rmat(scale=7, edge_factor=4, seed=1)
+        engine = GraphBoltEngine(PageRank(), num_iterations=6)
+        engine.run(graph)
+        for batch in mutation_batches(graph, 1):
+            engine.apply_mutations(batch)
+        phases = engine.metrics.phase_seconds
+        assert {"initial_run", "adjust_structure", "refine",
+                "hybrid"} <= set(phases)
+        assert all(seconds > 0.0 for seconds in phases.values())

@@ -1,12 +1,13 @@
-"""The zero-cost-when-off guarantee, measured.
+"""The cost of always-timed spans, measured.
 
-The instrumentation promises that leaving tracing disabled costs less
-than 5% of engine runtime.  Timing two full engine runs against each
-other is hopelessly flaky on shared CI hardware, so the bound is
-computed from stable quantities instead:
+Every span reads the clock twice, tracer or not (``trace.span`` is the
+code base's only stopwatch); the instrumentation promises that leaving
+tracing disabled costs less than 5% of engine runtime.  Timing two
+full engine runs against each other is hopelessly flaky on shared CI
+hardware, so the bound is computed from stable quantities instead:
 
 1. microbenchmark the disabled per-span cost (a ``trace.span`` call
-   through the null tracer, entered and exited);
+   through the null tracer, entered and exited -- timed, unrecorded);
 2. count how many spans a real streaming run actually opens, by
    replaying the same workload under a recording tracer;
 3. assert  ``spans_per_run x per_span_cost < 5% x untraced wall time``.

@@ -38,6 +38,8 @@ from repro.recovery import (
     RecoveryManager,
     scrub_state_dir,
 )
+from repro.recovery import scrub
+from repro.runtime import checkpoint
 from repro.serving import StreamingAnalyticsServer
 from tests.conftest import make_random_batch
 
@@ -268,6 +270,56 @@ class TestWalScrub:
                                            oldest))
         assert IntegrityScrubber(str(tmp_path)).scan(
             write_report=False).ok
+
+
+class TestReadOnce:
+    """A scan reads each checkpoint once (its verified index names the
+    store snapshots), and a repair reuses the scan's store groups."""
+
+    def mmap_state_dir(self, graph, tmp_path):
+        store = tmp_path / "store"
+        drive_state_dir(MmapStore(str(store)).publish(graph),
+                        tmp_path / "state")
+        return store
+
+    def test_scan_reads_each_checkpoint_once(self, graph, tmp_path,
+                                             monkeypatch):
+        self.mmap_state_dir(graph, tmp_path)
+        reads = []
+        frame_parser = checkpoint.read_frames
+
+        def counting_parser(source, *args, **kwargs):
+            reads.append(kwargs.get("limit"))
+            return frame_parser(source, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint, "read_frames", counting_parser)
+        report = IntegrityScrubber(str(tmp_path / "state")).scan(
+            write_report=False)
+        assert report.ok, [f.detail for f in report.findings]
+        assert report.checked["store_segments"] > 0
+        # One full read per checkpoint; no index-only re-read.
+        assert reads == [None] * report.checked["checkpoints"]
+
+    def test_repair_parses_each_store_manifest_once(self, graph, tmp_path,
+                                                    monkeypatch):
+        store = self.mmap_state_dir(graph, tmp_path)
+        with open(store / "manifest.json", encoding="utf-8") as stream:
+            manifest = json.load(stream)
+        current = manifest["snapshots"][manifest["current"]]
+        flip_payload_byte(os.path.join(
+            str(store), current["arrays"]["out_targets"]["file"]))
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            if os.path.basename(str(path)) == "manifest.json":
+                opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(scrub, "open", counting_open, raising=False)
+        report = IntegrityScrubber(str(tmp_path / "state")).repair()
+        assert [f.array for f in report.findings] == ["out_targets"]
+        assert report.repaired
+        assert len(opened) == 1
 
 
 # ----------------------------------------------------------------------

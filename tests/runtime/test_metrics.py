@@ -1,11 +1,12 @@
-"""Unit tests for metrics, timers and memory reports."""
+"""Unit tests for metrics, phase timing and memory reports."""
 
 import time
 from dataclasses import dataclass
 
 import pytest
 
-from repro.runtime.metrics import EngineMetrics, MemoryReport, Timer
+from repro.obs import trace
+from repro.runtime.metrics import EngineMetrics, MemoryReport
 
 
 class TestEngineMetrics:
@@ -92,34 +93,40 @@ class TestEngineMetrics:
 
 
 class TestTimer:
+    """``trace.span`` is the phase timer: its ``seconds`` feed
+    ``phase_seconds`` under the span's name, tracer installed or not."""
+
     def test_records_elapsed(self):
+        assert not trace.enabled()
         metrics = EngineMetrics()
-        with Timer(metrics, "sleep") as timer:
+        with trace.span("sleep", metrics=metrics) as span:
             time.sleep(0.01)
-        assert timer.elapsed >= 0.01
-        assert metrics.phase_seconds["sleep"] >= 0.01
+        assert span.seconds >= 0.01
+        assert metrics.phase_seconds["sleep"] == span.seconds
 
     def test_accumulates(self):
         metrics = EngineMetrics()
+        spans = []
         for _ in range(2):
-            with Timer(metrics, "phase"):
-                pass
-        assert metrics.phase_seconds["phase"] >= 0.0
+            with trace.span("phase", metrics=metrics) as span:
+                time.sleep(0.001)
+            spans.append(span.seconds)
+        assert metrics.phase_seconds["phase"] == spans[0] + spans[1]
 
     def test_none_metrics_ok(self):
-        with Timer(None, "phase") as timer:
+        with trace.span("phase") as span:
             pass
-        assert timer.elapsed >= 0.0
+        assert span.seconds >= 0.0
 
     def test_records_on_exception_and_propagates(self):
         metrics = EngineMetrics()
         with pytest.raises(ValueError):
-            with Timer(metrics, "phase") as timer:
+            with trace.span("phase", metrics=metrics) as span:
                 time.sleep(0.005)
                 raise ValueError("boom")
         # The phase time still lands, and the exception is not eaten.
-        assert timer.elapsed >= 0.005
-        assert metrics.phase_seconds["phase"] >= 0.005
+        assert span.seconds >= 0.005
+        assert metrics.phase_seconds["phase"] == span.seconds
 
 
 class TestMemoryReport:

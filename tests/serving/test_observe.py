@@ -164,6 +164,39 @@ class TestObserverOnServingLoop:
                 assert exemplar > previous_mark  # this batch's spans
                 previous_mark = exemplar
 
+    def test_batch_elapsed_is_the_ingest_measurement(self, graph, rng,
+                                                     tmp_path):
+        """The admission layer reports the server's own ingest span,
+        which covers the periodic checkpoint: one clock, not two."""
+        seen = []
+
+        class Recording(ServingObserver):
+            def batch_applied(self, resilient, batch, seconds, *args,
+                              **kwargs):
+                seen.append((seconds,
+                             resilient.server.last_ingest_seconds))
+                return super().batch_applied(resilient, batch, seconds,
+                                             *args, **kwargs)
+
+        manager = RecoveryManager(str(tmp_path), checkpoint_every=1)
+        tracer = Tracer()
+        with scoped_registry(), trace.activated(tracer):
+            resilient = ResilientAnalyticsServer(
+                plain_server(graph, recovery=manager),
+                observer=Recording())
+            for _ in range(3):
+                resilient.submit(make_random_batch(graph, rng, 4, 4))
+        assert len(seen) == 3
+        assert all(elapsed == ingest for elapsed, ingest in seen)
+        events = tracer.events()
+        ingests = [event for event in events if event["name"] == "ingest"]
+        assert [event["duration"] for event in ingests] == [
+            ingest for _, ingest in seen]
+        # checkpoint_every=1: every ingest span holds its checkpoint.
+        checkpoint_parents = {event["parent"] for event in events
+                              if event["name"] == "recovery.checkpoint"}
+        assert {event["id"] for event in ingests} <= checkpoint_parents
+
     def test_no_observer_means_no_registry_traffic(self, graph, rng):
         with scoped_registry() as registry:
             resilient = ResilientAnalyticsServer(plain_server(graph))

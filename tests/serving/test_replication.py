@@ -429,6 +429,57 @@ class TestStoreSegmentShipping:
                 )
             cluster.close()
 
+    def test_each_file_is_read_once_per_ship_round(
+            self, rng, tmp_path, monkeypatch):
+        """Two links, one read: a ship round reads each checkpoint and
+        store segment file once and hands both links the same bytes."""
+        from repro.graph.storage import MmapStore
+        from repro.serving import replication
+
+        rounds = []
+        real_open, real_ship = open, replication.ReplicationWriter.ship
+        real_send = replication.InProcessTransport.send
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            if rounds and mode == "rb":
+                rounds[-1]["reads"].append(path)
+            return real_open(path, mode, *args, **kwargs)
+
+        def recording_ship(writer):
+            rounds.append({"reads": [], "blobs": []})
+            return real_ship(writer)
+
+        def recording_send(transport, shipment):
+            if rounds and shipment.kind in ("checkpoint", "store"):
+                rounds[-1]["blobs"].append(shipment.blob)
+            return real_send(transport, shipment)
+
+        monkeypatch.setattr(replication, "open", counting_open,
+                            raising=False)
+        monkeypatch.setattr(replication.ReplicationWriter, "ship",
+                            recording_ship)
+        monkeypatch.setattr(replication.InProcessTransport, "send",
+                            recording_send)
+        graph = MmapStore(str(tmp_path / "writer-store")).publish(
+            rmat(scale=6, edge_factor=5, seed=17, weighted=True))
+        cluster = build_cluster(graph, tmp_path / "cluster", replicas=2)
+        for _ in range(4):
+            cluster.submit(make_random_batch(graph, rng, 8, 8))
+            cluster.replicate()
+        cluster.sync()
+        cluster.close()
+
+        for round_ in rounds:
+            reads = round_["reads"]
+            assert len(reads) == len(set(reads)), reads
+        # The bootstrap round ships a checkpoint and its six store
+        # segments to both links: seven files, each read once, and
+        # each link handed the very same bytes objects.
+        bootstrap = next(round_ for round_ in rounds if round_["blobs"])
+        assert len(bootstrap["reads"]) == 7
+        assert len(bootstrap["blobs"]) == 14
+        assert len({id(blob) for blob in bootstrap["blobs"]}) == 7
+
     def test_replica_restart_bootstraps_from_local_spool(
             self, rng, tmp_path):
         """A restarted replica restores the checkpointed graph from

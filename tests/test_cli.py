@@ -121,13 +121,13 @@ class TestObservabilityCommands:
         assert {"run", "batch", "span"} <= kinds
         batch_records = read_journal(path, record_type="batch")
         assert [r["index"] for r in batch_records] == list(range(batches))
-        # The span tree covers every batch with refine+forward phases.
+        # The span tree covers every batch with refine+hybrid phases.
         roots = build_tree(read_journal(path, record_type="span"))
         batch_roots = [r for r in roots if r["name"] == "batch"]
         assert len(batch_roots) == batches
         for root in batch_roots:
             phases = {child["name"] for child in root["children"]}
-            assert {"refine", "forward"} <= phases
+            assert {"refine", "hybrid"} <= phases
 
     def test_run_json_emits_parseable_lines(self, capsys):
         code = main([
@@ -163,7 +163,7 @@ class TestObservabilityCommands:
         out = capsys.readouterr().out
         assert "batch" in out
         assert "refine" in out
-        assert "forward" in out
+        assert "hybrid" in out
         assert "%" in out and "ms" in out
 
     def test_trace_with_journal(self, tmp_path, capsys):
